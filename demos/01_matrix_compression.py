@@ -6,10 +6,10 @@ prints the storage and error numbers behind each.
 
 import numpy as np
 
-from slimformer import (DenseMatrix, apply_mask, compress_layer,
-                        effective_weight, factor_ratio, factorize_layer,
-                        hybrid_ratio, magnitude_mask, rank_for_ratio,
-                        reconstruct, svd, truncate, truncation_error)
+from slimformer import (DenseMatrix, apply_mask, compress_matrix, factor_ratio,
+                        factorize_layer, hybrid_ratio, magnitude_mask,
+                        ones_for_fraction, rank_for_ratio, reconstruct, svd,
+                        truncate, truncation_error)
 from slimformer.tensor import frobenius_norm
 
 rng = np.random.default_rng(0)
@@ -57,8 +57,10 @@ print(f"pruned matrix error {frobenius_norm(DenseMatrix(w.array - pruned.array))
 # p_svd * p_weight, the worked value from the ratio table.
 print(f"\nhybrid ratio at rank 192, pruning to 1/1.56: "
       f"{hybrid_ratio(768, 768, 192, 1 / 1.56):.4f}")
-layer = compress_layer(w, 0.4, 0.5)
-dense = effective_weight(layer)
-print(f"hybrid at (0.4, 0.5): {layer.retained_count} stored numbers, "
-      f"{layer.retained_count / (64 * 48):.4f} of dense")
-print(f"hybrid error {frobenius_norm(DenseMatrix(w.array - dense.array)):.4f}")
+r = rank_for_ratio(64, 48, 0.4)
+(a, mask_a), (b, mask_b) = compress_matrix(
+    w, r, ones_for_fraction(0.5, 64 * r), ones_for_fraction(0.5, 48 * r))
+stored = int(mask_a.sum() + mask_b.sum())
+print(f"hybrid at (0.4, 0.5): {stored} stored numbers, "
+      f"{stored / (64 * 48):.4f} of dense")
+print(f"hybrid error {frobenius_norm(DenseMatrix(w.array - a @ b.T)):.4f}")

@@ -17,15 +17,14 @@ from .distill import (DistillConfig, distill_injections, distill_step,
                       mse_loss, prediction_loss, total_distill_loss)
 from .factorize import (LowRankPair, factor_ratio, factorize_layer,
                         rank_for_ratio, reconstruct)
-from .hybrid import FactoredLayer, compress_layer, effective_weight, \
-    hybrid_ratio
+from .hybrid import compress_matrix, hybrid_ratio
 from .model import (TOY_CONFIG, Adam, EncoderModel, ModelConfig, init_model,
                     load_model, save_model)
 from .pipeline import (budget_sequence, compress_model, interpolated_plan,
                        one_shot_compress, record_curve, run_pipeline,
                        truncated_config_for_budget)
 from .prune import (PruneMask, apply_mask, magnitude_mask, ones_for_fraction,
-                    sparsity, topk_mask)
+                    topk_mask)
 from .svd import SvdResult, svd, truncate, truncation_error
 from .tasks import (SyntheticTask, TaskConfig, evaluate, generate_task,
                     train_classifier)

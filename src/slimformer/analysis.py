@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, RangeError, ShapeError
-from .factorize import factorize_layer, reconstruct
-from .hybrid import compress_layer, effective_weight
-from .prune import apply_mask, magnitude_mask
+from .factorize import factorize_layer, rank_for_ratio, reconstruct
+from .hybrid import compress_matrix
+from .prune import apply_mask, magnitude_mask, ones_for_fraction
 from .tensor import DenseMatrix
 
 MODES = ("prune", "svd", "hybrid")
@@ -75,7 +75,11 @@ def compressed_matrix(w, mode, retain, split=None):
             )
         if svd_f == 1.0:
             return apply_mask(w, magnitude_mask(w, prune_f))
-        return effective_weight(compress_layer(w, svd_f, prune_f))
+        r = rank_for_ratio(w.rows, w.cols, svd_f)
+        (a, _), (b, _) = compress_matrix(
+            w, r, ones_for_fraction(prune_f, w.rows * r),
+            ones_for_fraction(prune_f, w.cols * r))
+        return DenseMatrix(a @ b.T)
     raise InputError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 

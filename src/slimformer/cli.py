@@ -159,7 +159,6 @@ def _parser():
                               help="apply a plan to a model in one shot")
     compress.add_argument("--bundle", required=True)
     compress.add_argument("--plan", required=True)
-    compress.add_argument("--one-shot", action="store_true")
     compress.add_argument("--out", required=True)
     compress.set_defaults(func=_cmd_compress)
 
@@ -210,9 +209,6 @@ def _validate(parser, args):
                          "or --search N")
         if args.search is not None and manual:
             parser.error("--search excludes --p-embd/--p-svd")
-    if args.command == "compress" and not args.one_shot:
-        parser.error("compress supports only --one-shot; "
-                     "distill runs the iterative pipeline")
 
 
 def main(argv=None):

@@ -1,51 +1,33 @@
-"""Hybrid compression of one layer: factorize, then prune both factors.
+"""Hybrid compression of one matrix: factorize, then prune both factors.
 
-The layer stores (mask_a * A) and (mask_b * B); its effective dense
-weight is their product and the retained parameter count is the total
-ones across both masks.
+The compressed matrix is stored as (mask_a * A) and (mask_b * B); its
+effective dense weight is their product and the retained parameter
+count is the total ones across both masks.
 """
 
-from dataclasses import dataclass
-
-from .errors import RangeError, ShapeError
+from .errors import RangeError
 from .factorize import factor_ratio, factorize_layer
-from .prune import magnitude_mask
+from .prune import topk_mask
 from .tensor import DenseMatrix
 
 
-@dataclass(frozen=True)
-class FactoredLayer:
-    pair: "LowRankPair"
-    mask_a: "PruneMask"
-    mask_b: "PruneMask"
-    original_shape: tuple
+def compress_matrix(w, rank, ones_a, ones_b):
+    """Factorize the DenseMatrix w at rank, then keep the ones_a largest
+    |entries| of A (m x rank) and the ones_b largest of B (n x rank).
 
-    def __post_init__(self):
-        pa, pb = self.pair.a, self.pair.b
-        if (self.mask_a.rows, self.mask_a.cols) != (pa.rows, pa.cols):
-            raise ShapeError("mask_a shape does not match factor a")
-        if (self.mask_b.rows, self.mask_b.cols) != (pb.rows, pb.cols):
-            raise ShapeError("mask_b shape does not match factor b")
-        if tuple(self.original_shape) != self.pair.shape:
-            raise ShapeError(
-                f"original shape {self.original_shape} does not match "
-                f"pair shape {self.pair.shape}"
-            )
-
-    @property
-    def retained_count(self):
-        return self.mask_a.ones_count + self.mask_b.ones_count
-
-
-def compress_layer(w, p_svd, p_weight, rank=None):
-    """Factorize w at p_svd, then mask each factor at p_weight."""
-    pair = factorize_layer(w, p_svd, rank=rank)
-    return FactoredLayer(
-        pair=pair,
-        mask_a=magnitude_mask(pair.a, p_weight),
-        mask_b=magnitude_mask(pair.b, p_weight),
-        original_shape=(w.rows, w.cols),
-    )
+    Returns ((a, mask_a), (b, mask_b)): each factor as an array with
+    its pruned entries zeroed, and its binary mask, or None for a half
+    that keeps every entry.
+    """
+    pair = factorize_layer(w, rank=rank)
+    halves = []
+    for arr, ones in ((pair.a.array, ones_a), (pair.b.array, ones_b)):
+        if ones == arr.size:
+            halves.append((arr, None))
+        else:
+            mask = topk_mask(DenseMatrix(arr), ones).bits.array
+            halves.append((arr * mask, mask))
+    return tuple(halves)
 
 
 def hybrid_ratio(m, n, r, p_weight):
@@ -53,10 +35,3 @@ def hybrid_ratio(m, n, r, p_weight):
     if not 0.0 < p_weight <= 1.0:
         raise RangeError(f"p_weight must be in (0, 1], got {p_weight}")
     return factor_ratio(m, n, r) * p_weight
-
-
-def effective_weight(layer):
-    """Dense realization (mask_a * A) @ (mask_b * B).T."""
-    a = layer.mask_a.bits.array * layer.pair.a.array
-    b = layer.mask_b.bits.array * layer.pair.b.array
-    return DenseMatrix(a @ b.T)

@@ -3,8 +3,11 @@
 The model doubles as distillation teacher and student.  Weight slots
 come in three forms: dense, masked dense (pruned, zeros frozen), and
 factored (a low-rank pair, optionally masked).  Factored slots run as
-(x @ A) @ B.T in both passes and are never densified, so the parameter
-savings are real compute savings too.
+(x @ A) @ B.T in both passes and are never densified; masked slots
+still run dense products.  At the 40% plan the student computes 0.52
+of the teacher's forward multiply-adds at toy width and 0.46 at width
+256 (perfbench/madds.md), yet at toy width its forward is no faster
+(0.057 s against the teacher's 0.055 s on 256x16 tokens).
 
 forward exposes a trace at the four supervision points (embedding
 output, per-layer attention maps, per-layer hidden states, logits);
@@ -158,8 +161,11 @@ class EncoderModel:
 
     params maps array keys to float64 ndarrays: a weight slot `w` is
     either a single key "w" (dense, natural shape; vectors are 1-D) or
-    the pair "w.a"/"w.b" (factored halves).  masks maps a subset of
-    those keys to binary arrays; masked entries are zero and frozen.
+    the pair "w.a"/"w.b" (factored halves, m x r and n x r).  masks maps
+    a subset of those keys to binary arrays; masked entries are zero and
+    frozen.  slots maps each slot name to its (kind, keys): ("dense",
+    ("w",)) or ("factored", ("w.a", "w.b")).  Construction raises
+    InputError for any params/masks that do not fit that layout.
     """
 
     def __init__(self, config, params, masks=None):
@@ -167,25 +173,46 @@ class EncoderModel:
         self.params = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
         self.masks = {k: np.array(v, dtype=np.float64)
                       for k, v in (masks or {}).items()}
+        self.slots = {e.name: self._slot(e) for e in config.shapes()}
+        claimed = {key for _, keys in self.slots.values() for key in keys}
+        unclaimed = sorted(set(self.params) - claimed)
+        if unclaimed:
+            raise InputError(f"parameters {unclaimed} belong to no slot")
         for key, mask in self.masks.items():
             if key not in self.params:
                 raise InputError(f"mask for unknown parameter {key!r}")
             if mask.shape != self.params[key].shape:
                 raise InputError(f"mask shape mismatch for {key!r}")
+            if not np.all((mask == 0.0) | (mask == 1.0)):
+                raise InputError(f"mask for {key!r} is not binary")
             self.params[key] = self.params[key] * mask
-        for entry in config.shapes():
-            self._resolve(entry.name)
 
-    def _resolve(self, slot):
-        if f"{slot}.a" in self.params:
-            if f"{slot}.b" not in self.params:
-                raise InputError(f"factored slot {slot!r} is missing its b half")
-            return ("factored", f"{slot}.a", f"{slot}.b")
-        if slot in self.params:
-            if slot in self.masks:
-                return ("masked", slot)
-            return ("dense", slot)
-        raise InputError(f"no parameters for slot {slot!r}")
+    def _slot(self, e):
+        """(kind, keys) of one shape entry, with its arrays' shapes checked."""
+        ka, kb = f"{e.name}.a", f"{e.name}.b"
+        if ka in self.params or kb in self.params:
+            if e.name in self.params:
+                raise InputError(f"slot {e.name!r} is both dense and factored")
+            if ka not in self.params or kb not in self.params:
+                raise InputError(f"factored slot {e.name!r} is missing a half")
+            # forward runs the factored form for embeddings and encoder
+            # matrices only
+            if e.is_vector or e.group == "classifier":
+                raise InputError(f"slot {e.name!r} cannot be factored")
+            sa, sb = self.params[ka].shape, self.params[kb].shape
+            if (len(sa) != 2 or len(sb) != 2 or sa[1] != sb[1] or sa[1] < 1
+                    or (sa[0], sb[0]) != (e.rows, e.cols)):
+                raise InputError(
+                    f"factored slot {e.name!r} has halves {sa} and {sb}, "
+                    f"expected ({e.rows}, r) and ({e.cols}, r)")
+            return ("factored", (ka, kb))
+        if e.name not in self.params:
+            raise InputError(f"no parameters for slot {e.name!r}")
+        want = (e.size,) if e.is_vector else (e.rows, e.cols)
+        if self.params[e.name].shape != want:
+            raise InputError(f"slot {e.name!r} has shape "
+                             f"{self.params[e.name].shape}, expected {want}")
+        return ("dense", (e.name,))
 
     def copy(self):
         return EncoderModel(
@@ -196,18 +223,13 @@ class EncoderModel:
 
     def retained_count(self):
         """Live parameter count: mask ones where masked, sizes elsewhere."""
-        total = 0
-        for key, value in self.params.items():
-            mask = self.masks.get(key)
-            total += int(mask.sum()) if mask is not None else value.size
-        return total
+        return sum(self.retained_by_group().values())
 
     def retained_by_group(self):
         """Live parameter count per bundle group."""
         counts = dict.fromkeys(("embedding", "encoder", "classifier"), 0)
         for e in self.config.shapes():
-            kind = self._resolve(e.name)
-            for key in kind[1:]:
+            for key in self.slots[e.name][1]:
                 mask = self.masks.get(key)
                 counts[e.group] += (int(mask.sum()) if mask is not None
                                     else self.params[key].size)
@@ -219,9 +241,9 @@ class EncoderModel:
         Densifying here is fine: this is for compression and analysis
         steps, not the compute path.
         """
-        kind = self._resolve(slot)
-        if kind[0] == "factored":
-            return self.params[kind[1]] @ self.params[kind[2]].T
+        kind, keys = self.slots[slot]
+        if kind == "factored":
+            return self.params[keys[0]] @ self.params[keys[1]].T
         return self.params[slot]
 
     def zero_grads(self):
@@ -231,22 +253,14 @@ class EncoderModel:
 
     def to_bundle(self, include_masks=True):
         entries = []
-        group_of = {e.name: e.group for e in self.config.shapes()}
-
-        def slot_group(key):
-            if key in group_of:  # checked first: "cls.b" ends with ".b" too
-                return group_of[key]
-            for suffix in (".a", ".b"):
-                if key.endswith(suffix):
-                    return group_of[key[: -len(suffix)]]
-            raise KeyError(key)
-
-        for key, value in self.params.items():
-            mat = value.reshape(1, -1) if value.ndim == 1 else value
-            entries.append((key, slot_group(key), DenseMatrix(mat)))
-            if include_masks and key in self.masks:
-                entries.append((f"{key}.mask", slot_group(key),
-                                DenseMatrix(self.masks[key])))
+        for e in self.config.shapes():
+            for key in self.slots[e.name][1]:
+                value = self.params[key]
+                mat = value.reshape(1, -1) if value.ndim == 1 else value
+                entries.append((key, e.group, DenseMatrix(mat)))
+                if include_masks and key in self.masks:
+                    entries.append((f"{key}.mask", e.group,
+                                    DenseMatrix(self.masks[key])))
         return ParamBundle(entries)
 
     @classmethod
@@ -284,18 +298,18 @@ class EncoderModel:
         return tokens
 
     def _embed(self, tokens, cache):
-        kind = self._resolve("tok_embed")
-        if kind[0] == "factored":
-            a, b = self.params[kind[1]], self.params[kind[2]]
+        kind, keys = self.slots["tok_embed"]
+        if kind == "factored":
+            a, b = (self.params[k] for k in keys)
             rows = a[tokens]                      # (b, n, r)
             tok = rows @ b.T
             cache["tok_rows"] = rows
         else:
             tok = self.params["tok_embed"][tokens]
         n = tokens.shape[1]
-        kind = self._resolve("pos_embed")
-        if kind[0] == "factored":
-            a, b = self.params[kind[1]], self.params[kind[2]]
+        kind, keys = self.slots["pos_embed"]
+        if kind == "factored":
+            a, b = (self.params[k] for k in keys)
             pos = a[:n] @ b.T
         else:
             pos = self.params["pos_embed"][:n]
@@ -311,32 +325,23 @@ class EncoderModel:
         return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
 
     def _slot_forward(self, slot, x, cache):
-        kind = self._resolve(slot)
-        if kind[0] == "factored":
-            hidden = x @ self.params[kind[1]]
+        kind, keys = self.slots[slot]
+        if kind == "factored":
+            hidden = x @ self.params[keys[0]]
             cache[f"{slot}.h"] = hidden
-            return hidden @ self.params[kind[2]].T
+            return hidden @ self.params[keys[1]].T
         return x @ self.params[slot]
 
     def _slot_backward(self, slot, x, dy, cache, grads):
-        kind = self._resolve(slot)
-        if kind[0] == "factored":
-            ka, kb = kind[1], kind[2]
+        kind, keys = self.slots[slot]
+        if kind == "factored":
+            ka, kb = keys
             hidden = cache[f"{slot}.h"]
             dh = dy @ self.params[kb]
-            gb = _flat(dy).T @ _flat(hidden)
-            ga = _flat(x).T @ _flat(dh)
-            if ka in self.masks:
-                ga = ga * self.masks[ka]
-            if kb in self.masks:
-                gb = gb * self.masks[kb]
-            grads[ka] += ga
-            grads[kb] += gb
+            grads[kb] += _flat(dy).T @ _flat(hidden)
+            grads[ka] += _flat(x).T @ _flat(dh)
             return dh @ self.params[ka].T
-        g = _flat(x).T @ _flat(dy)
-        if kind[0] == "masked":
-            g = g * self.masks[slot]
-        grads[slot] += g
+        grads[slot] += _flat(x).T @ _flat(dy)
         return dy @ self.params[slot].T
 
     def forward(self, tokens, with_cache=False):
@@ -455,32 +460,30 @@ class EncoderModel:
         if inj.embedding is not None:
             dx = dx + inj.embedding
         self._embed_backward(tokens, dx, cache, grads)
+        for key, mask in self.masks.items():
+            grads[key] *= mask
         return grads
 
     def _embed_backward(self, tokens, dx, cache, grads):
         n = tokens.shape[1]
-        kind = self._resolve("tok_embed")
-        if kind[0] == "factored":
-            ka, kb = kind[1], kind[2]
+        kind, keys = self.slots["tok_embed"]
+        if kind == "factored":
+            ka, kb = keys
             rows = cache["tok_rows"]
             drows = dx @ self.params[kb]
             np.add.at(grads[ka], tokens, drows)
             grads[kb] += _flat(dx).T @ _flat(rows)
         else:
             np.add.at(grads["tok_embed"], tokens, dx)
-            if "tok_embed" in self.masks:
-                grads["tok_embed"] *= self.masks["tok_embed"]
         dpos = dx.sum(axis=0)
-        kind = self._resolve("pos_embed")
-        if kind[0] == "factored":
-            ka, kb = kind[1], kind[2]
+        kind, keys = self.slots["pos_embed"]
+        if kind == "factored":
+            ka, kb = keys
             a = self.params[ka]
             grads[ka][:n] += dpos @ self.params[kb]
             grads[kb] += dpos.T @ a[:n]
         else:
             grads["pos_embed"][:n] += dpos
-            if "pos_embed" in self.masks:
-                grads["pos_embed"] *= self.masks["pos_embed"]
 
 
 def init_model(config, seed=0):

@@ -23,7 +23,7 @@ import numpy as np
 from .budget import CompressionPlan, allocate
 from .distill import DistillConfig, distill_step
 from .errors import DivergenceError, NonFiniteError, RangeError
-from .factorize import factorize_layer
+from .hybrid import compress_matrix
 from .model import Adam, EncoderModel
 from .prune import topk_mask
 from .tasks import evaluate
@@ -118,15 +118,11 @@ def compress_model(model, plan):
             params[e.name] = w * mask
             masks[e.name] = mask
             continue
-        pair = factorize_layer(DenseMatrix(w), rank=e.rank)
-        for half, arr, ones in (("a", pair.a.array, e.ones_a),
-                                ("b", pair.b.array, e.ones_b)):
+        halves = compress_matrix(DenseMatrix(w), e.rank, e.ones_a, e.ones_b)
+        for half, (arr, mask) in zip(("a", "b"), halves):
             key = f"{e.name}.{half}"
-            if ones == arr.size:
-                params[key] = arr
-            else:
-                mask = topk_mask(DenseMatrix(arr), ones).bits.array
-                params[key] = arr * mask
+            params[key] = arr
+            if mask is not None:
                 masks[key] = mask
     return EncoderModel(model.config, params, masks), alloc
 

@@ -69,8 +69,3 @@ def apply_mask(w, mask):
             f"matrix {w.rows}x{w.cols}"
         )
     return DenseMatrix(w.array * mask.bits.array)
-
-
-def sparsity(mask):
-    """Retained fraction: ones-count over total entries."""
-    return mask.ones_count / (mask.rows * mask.cols)

@@ -99,19 +99,6 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
 
-def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Matrix product with 64-bit accumulation.
-
-    Raises :class:`ShapeError` naming both shapes when a.cols != b.rows.
-    """
-    if a.cols != b.rows:
-        raise ShapeError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}: "
-            f"inner dimensions differ"
-        )
-    return DenseMatrix(a.array @ b.array)
-
-
 def frobenius_norm(a: DenseMatrix) -> float:
     """sqrt of the sum of squared entries."""
     return float(np.linalg.norm(a.array))

@@ -8,8 +8,10 @@ import pytest
 
 from slimformer.budget import CompressionPlan, load_plan, save_plan
 from slimformer.cli import main
-from slimformer.model import TOY_CONFIG, init_model, load_model, save_model
-from slimformer.tensor import load_bundle
+from slimformer.model import (TOY_CONFIG, init_model, load_model,
+                              save_config, save_model)
+from slimformer.tensor import DenseMatrix, ParamBundle, load_bundle, \
+    save_bundle
 
 
 @pytest.fixture()
@@ -82,26 +84,42 @@ class TestCompress:
         plan = write_plan(tmp_path)
         out = tmp_path / "student"
         code = main(["compress", "--bundle", teacher_path, "--plan", plan,
-                     "--one-shot", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 0
         student = load_model(out)
         assert student.retained_count() == 7899
         assert "retained 7899 of 19747" in capsys.readouterr().out
 
-    def test_flag_required(self, tmp_path, teacher_path):
-        plan = write_plan(tmp_path)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["compress", "--bundle", teacher_path, "--plan", plan,
-                  "--out", str(tmp_path / "s")])
-        assert excinfo.value.code == 2
-
     def test_malformed_plan(self, tmp_path, teacher_path):
         bad = tmp_path / "plan.txt"
         bad.write_text("not a plan\n", encoding="ascii")
         code = main(["compress", "--bundle", teacher_path,
-                     "--plan", str(bad), "--one-shot",
+                     "--plan", str(bad), "--out", str(tmp_path / "s")])
+        assert code == 4
+
+    @pytest.mark.parametrize("extra", [
+        {"junk": np.ones((1, 4))},
+        {"enc0.attn.wq.a": np.ones((32, 4)),
+         "enc0.attn.wq.b": np.ones((32, 4))},
+        {"enc0.attn.wq": np.ones((5, 7))},
+        {"enc0.attn.wq.mask": np.full((32, 32), 0.5)},
+    ], ids=["unclaimed-key", "dense-and-factored", "wrong-shape",
+            "non-binary-mask"])
+    def test_bad_bundle(self, tmp_path, extra, capsys):
+        """The teacher's bundle with entries added or replaced."""
+        entries = {name: (group, m) for name, group, m
+                   in init_model(TOY_CONFIG, seed=0).to_bundle().items()}
+        entries.update((name, ("encoder", DenseMatrix(arr)))
+                       for name, arr in extra.items())
+        base = tmp_path / "bad"
+        save_bundle(ParamBundle((n, g, m) for n, (g, m) in entries.items()),
+                    f"{base}.bundle")
+        save_config(TOY_CONFIG, f"{base}.config")
+        code = main(["compress", "--bundle", f"{base}.bundle",
+                     "--plan", write_plan(tmp_path),
                      "--out", str(tmp_path / "s")])
         assert code == 4
+        assert "error:" in capsys.readouterr().err
 
 
 class TestDistill:

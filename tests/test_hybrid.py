@@ -2,10 +2,28 @@ import numpy as np
 import pytest
 
 from slimformer.errors import ExpansionWarning, RangeError
-from slimformer.factorize import factor_ratio, rank_for_ratio, reconstruct
-from slimformer.hybrid import compress_layer, effective_weight, hybrid_ratio
-from slimformer.prune import PruneMask
+from slimformer.factorize import (factor_ratio, factorize_layer,
+                                  rank_for_ratio, reconstruct)
+from slimformer.hybrid import compress_matrix, hybrid_ratio
+from slimformer.prune import ones_for_fraction
 from slimformer.tensor import DenseMatrix
+
+
+def product(halves):
+    (a, _), (b, _) = halves
+    return a @ b.T
+
+
+def kept(halves):
+    return sum(arr.size if mask is None else int(mask.sum())
+               for arr, mask in halves)
+
+
+def compress_at(w, p_svd, p_weight):
+    """compress_matrix at the rank and ones-counts the two fractions give."""
+    r = rank_for_ratio(w.rows, w.cols, p_svd)
+    return r, compress_matrix(w, r, ones_for_fraction(p_weight, w.rows * r),
+                              ones_for_fraction(p_weight, w.cols * r))
 
 
 def test_hybrid_ratio_worked_values():
@@ -26,52 +44,47 @@ def test_noop_composition_recovers_input():
     rng = np.random.default_rng(0)
     w = DenseMatrix(rng.normal(size=(5, 4)))
     with pytest.warns(ExpansionWarning):  # full rank stores more than dense
-        layer = compress_layer(w, 1.0, 1.0, rank=4)
-    assert np.allclose(effective_weight(layer).array, w.array, atol=1e-8)
+        halves = compress_matrix(w, 4, 20, 16)
+    assert all(mask is None for _, mask in halves)
+    assert np.allclose(product(halves), w.array, atol=1e-8)
 
 
 def test_factorization_only_path():
-    layer = compress_layer(DenseMatrix(np.diag([3.0, 2.0, 1.0])), 1.0, 1.0, rank=1)
-    eff = effective_weight(layer)
-    assert np.allclose(eff.array, np.diag([3.0, 0.0, 0.0]), atol=1e-8)
+    halves = compress_matrix(DenseMatrix(np.diag([3.0, 2.0, 1.0])), 1, 3, 3)
+    assert np.allclose(product(halves), np.diag([3.0, 0.0, 0.0]), atol=1e-8)
 
 
 def test_retained_count_by_construction():
     rng = np.random.default_rng(1)
     w = DenseMatrix(rng.normal(size=(8, 8)))
     assert rank_for_ratio(8, 8, 0.5) == 2
-    layer = compress_layer(w, 0.5, 0.5)
-    assert layer.pair.r == 2
-    assert layer.mask_a.ones_count == 8
-    assert layer.mask_b.ones_count == 8
-    assert layer.retained_count == 16
+    r, halves = compress_at(w, 0.5, 0.5)
+    assert r == 2
+    for arr, mask in halves:
+        assert arr.shape == (8, 2)
+        assert int(mask.sum()) == 8
+        assert np.all(arr[mask == 0.0] == 0.0)
+    assert kept(halves) == 16
 
 
 def test_effective_weight_mask_extremes():
     rng = np.random.default_rng(2)
     w = DenseMatrix(rng.normal(size=(6, 5)))
-    layer = compress_layer(w, 0.6, 1.0)
-    assert effective_weight(layer) == reconstruct(layer.pair)
+    r = rank_for_ratio(6, 5, 0.6)
+    full = compress_matrix(w, r, 6 * r, 5 * r)
+    assert all(mask is None for _, mask in full)
+    assert DenseMatrix(product(full)) == reconstruct(factorize_layer(w, rank=r))
 
-    r = layer.pair.r
-    zeroed = type(layer)(
-        pair=layer.pair,
-        mask_a=PruneMask(DenseMatrix(np.zeros((6, r)))),
-        mask_b=PruneMask(DenseMatrix(np.zeros((5, r)))),
-        original_shape=(6, 5),
-    )
-    assert np.array_equal(effective_weight(zeroed).array, np.zeros((6, 5)))
+    zeroed = compress_matrix(w, r, 0, 0)
+    assert all(np.all(mask == 0.0) for _, mask in zeroed)
+    assert np.array_equal(product(zeroed), np.zeros((6, 5)))
 
 
 def test_mask_can_annihilate_a_factor():
-    layer = compress_layer(DenseMatrix(np.diag([3.0, 2.0, 1.0])), 1.0, 1.0, rank=1)
-    killed = type(layer)(
-        pair=layer.pair,
-        mask_a=PruneMask(DenseMatrix(np.zeros((3, 1)))),
-        mask_b=layer.mask_b,
-        original_shape=(3, 3),
-    )
-    assert np.array_equal(effective_weight(killed).array, np.zeros((3, 3)))
+    halves = compress_matrix(DenseMatrix(np.diag([3.0, 2.0, 1.0])), 1, 0, 3)
+    (_, mask_a), (_, mask_b) = halves
+    assert np.all(mask_a == 0.0) and mask_b is None
+    assert np.array_equal(product(halves), np.zeros((3, 3)))
 
 
 def test_accounting_identity():
@@ -81,9 +94,10 @@ def test_accounting_identity():
         n = int(rng.integers(2, 20))
         p_svd = float(rng.uniform(0.2, 1.0))
         p_weight = float(rng.uniform(0.1, 1.0))
-        layer = compress_layer(DenseMatrix(rng.normal(size=(m, n))), p_svd, p_weight)
-        got = layer.retained_count / (m * n)
-        want = hybrid_ratio(m, n, layer.pair.r, p_weight)
+        w = DenseMatrix(rng.normal(size=(m, n)))
+        r, halves = compress_at(w, p_svd, p_weight)
+        got = kept(halves) / (m * n)
+        want = hybrid_ratio(m, n, r, p_weight)
         assert abs(got - want) <= 2 * max(m, n) / (m * n) + 1e-12
 
 
@@ -93,7 +107,7 @@ def test_error_non_increasing_in_p_weight():
         w = DenseMatrix(rng.normal(size=(10, 8)))
         errs = []
         for p_weight in (0.2, 0.4, 0.6, 0.8, 1.0):
-            layer = compress_layer(w, 0.5, p_weight)
-            errs.append(np.linalg.norm(effective_weight(layer).array - w.array))
+            _, halves = compress_at(w, 0.5, p_weight)
+            errs.append(np.linalg.norm(product(halves) - w.array))
         for lo, hi in zip(errs[1:], errs[:-1]):
             assert lo <= hi + 1e-9

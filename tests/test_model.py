@@ -39,6 +39,12 @@ def small_config():
                        ffn_dim=12, max_seq_len=6, num_classes=3)
 
 
+# every matrix slot may be masked; all but the classifier may be factored
+WEIGHT_SLOTS = [e.name for e in small_config().shapes() if not e.is_vector]
+FACTORABLE_SLOTS = [e.name for e in small_config().shapes()
+                    if not e.is_vector and e.group != "classifier"]
+
+
 def rand_tokens(rng, config, batch=3, length=None):
     length = length or config.max_seq_len
     return rng.integers(0, config.vocab_size, size=(batch, length))
@@ -271,18 +277,19 @@ class TestBackward:
         tokens = rand_tokens(np.random.default_rng(6), TOY_CONFIG, batch=3)
         assert fd_check(model, tokens, ["cls.w", "cls.b"], 15) < FD_TOL
 
-    def test_masked_gradients_exactly_zero(self):
+    @pytest.mark.parametrize("slot", WEIGHT_SLOTS)
+    def test_masked_gradients_exactly_zero(self, slot):
         cfg = small_config()
         model = init_model(cfg, seed=8)
         rng = np.random.default_rng(7)
-        mask = (rng.random(model.params["enc0.ffn.w1"].shape) > 0.5).astype(float)
-        model = EncoderModel(cfg, model.params, {"enc0.ffn.w1": mask})
+        mask = (rng.random(model.params[slot].shape) > 0.5).astype(float)
+        model = EncoderModel(cfg, model.params, {slot: mask})
         tokens = rand_tokens(rng, cfg)
         loss_fn, inj = trace_loss_coeffs(model, tokens, 20)
         _, cache = model.forward(tokens, with_cache=True)
         grads = model.backward(cache, inj)
-        assert np.all(grads["enc0.ffn.w1"][mask == 0] == 0.0)
-        assert np.any(grads["enc0.ffn.w1"][mask == 1] != 0.0)
+        assert np.all(grads[slot][mask == 0] == 0.0)
+        assert np.any(grads[slot][mask == 1] != 0.0)
 
     def test_masked_gradcheck_still_passes(self):
         cfg = small_config()
@@ -331,17 +338,33 @@ class TestFactoredSlots:
                 "pos_embed.a", "pos_embed.b"]
         assert fd_check(model, tokens, keys, 22, samples=32) < FD_TOL
 
-    def test_factored_masked_grads_zero(self):
+    @pytest.mark.parametrize("half", ["a", "b"])
+    @pytest.mark.parametrize("slot", FACTORABLE_SLOTS)
+    def test_factored_masked_grads_zero(self, slot, half):
         cfg = small_config()
-        _, model = self.make_factored(cfg, 12, ["enc0.ffn.w1"])
+        _, model = self.make_factored(cfg, 12, [slot])
+        key = f"{slot}.{half}"
         rng = np.random.default_rng(11)
-        mask = (rng.random(model.params["enc0.ffn.w1.a"].shape) > 0.5).astype(float)
-        model = EncoderModel(cfg, model.params, {"enc0.ffn.w1.a": mask})
+        mask = (rng.random(model.params[key].shape) > 0.5).astype(float)
+        model = EncoderModel(cfg, model.params, {key: mask})
         tokens = rand_tokens(rng, cfg)
         loss_fn, inj = trace_loss_coeffs(model, tokens, 23)
         _, cache = model.forward(tokens, with_cache=True)
         grads = model.backward(cache, inj)
-        assert np.all(grads["enc0.ffn.w1.a"][mask == 0] == 0.0)
+        assert np.all(grads[key][mask == 0] == 0.0)
+        assert np.any(grads[key][mask == 1] != 0.0)
+
+    @pytest.mark.parametrize("slot", ["cls.w", "enc0.attn.bq"])
+    def test_unfactorable_slot_rejected(self, slot):
+        # forward reads the classifier and every vector as one array
+        cfg = small_config()
+        params = dict(init_model(cfg, seed=0).params)
+        del params[slot]
+        e = next(e for e in cfg.shapes() if e.name == slot)
+        params[f"{slot}.a"] = np.ones((e.rows, 1))
+        params[f"{slot}.b"] = np.ones((e.cols, 1))
+        with pytest.raises(InputError, match="cannot be factored"):
+            EncoderModel(cfg, params)
 
     def test_retained_count(self):
         cfg = small_config()

@@ -8,7 +8,6 @@ from slimformer.prune import (
     apply_mask,
     magnitude_mask,
     ones_for_fraction,
-    sparsity,
 )
 from slimformer.tensor import DenseMatrix
 
@@ -87,11 +86,14 @@ def test_remasking_is_idempotent():
 
 
 def test_sparsity_values():
-    assert sparsity(magnitude_mask(DenseMatrix([[1.0, 2.0]]), 1.0)) == 1.0
+    def density(mask):
+        return mask.ones_count / mask.bits.array.size
+
+    assert density(magnitude_mask(DenseMatrix([[1.0, 2.0]]), 1.0)) == 1.0
     w = DenseMatrix([[0.1, -0.4], [0.2, -0.3]])
-    assert sparsity(magnitude_mask(w, 0.5)) == 0.5
+    assert density(magnitude_mask(w, 0.5)) == 0.5
     zero = PruneMask(DenseMatrix(np.zeros((3, 3))))
-    assert sparsity(zero) == 0.0
+    assert density(zero) == 0.0
 
 
 def test_masked_positions_are_exact_zeros():

@@ -13,43 +13,9 @@ from slimformer.tensor import (
     ParamBundle,
     frobenius_norm,
     load_bundle,
-    matmul,
     param_count,
     save_bundle,
 )
-
-
-def test_matmul_identity():
-    eye = DenseMatrix(np.eye(2))
-    m = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
-    assert matmul(eye, m) == m
-
-
-def test_matmul_hand_product():
-    a = DenseMatrix([[1.0, 2.0]])
-    b = DenseMatrix([[3.0], [4.0]])
-    out = matmul(a, b)
-    assert out.shape == (1, 1)
-    assert out.array[0, 0] == 11.0
-
-
-def test_matmul_shape_error_names_both_shapes():
-    a = DenseMatrix(np.zeros((2, 3)))
-    b = DenseMatrix(np.zeros((2, 3)))
-    with pytest.raises(ShapeError, match="2x3"):
-        matmul(a, b)
-
-
-def test_matmul_associative_on_random_triples():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = DenseMatrix(rng.normal(size=(4, 6)))
-        b = DenseMatrix(rng.normal(size=(6, 3)))
-        c = DenseMatrix(rng.normal(size=(3, 5)))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        diff = frobenius_norm(DenseMatrix(left.array - right.array))
-        assert diff <= 1e-9 * max(1.0, frobenius_norm(left))
 
 
 def test_frobenius_norm_values():
