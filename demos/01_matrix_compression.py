@@ -6,19 +6,18 @@ prints the storage and error numbers behind each.
 
 import numpy as np
 
-from slimformer import (DenseMatrix, apply_mask, compress_matrix, factor_ratio,
+from slimformer import (apply_mask, compress_matrix, factor_ratio,
                         factorize_layer, hybrid_ratio, magnitude_mask,
                         ones_for_fraction, rank_for_ratio, reconstruct, svd,
-                        truncate, truncation_error)
-from slimformer.tensor import frobenius_norm
+                        truncation_error)
 
 rng = np.random.default_rng(0)
-w = DenseMatrix(rng.normal(size=(64, 48)))
+w = rng.normal(size=(64, 48))
 
 # Full decomposition first. The reconstruction should be exact to
 # rounding, and the singular values come back sorted.
 res = svd(w)
-recon_err = np.max(np.abs(res.reconstruct().array - w.array))
+recon_err = np.max(np.abs(res.reconstruct() - w))
 print(f"matrix 64x48, full svd reconstruction error {recon_err:.2e}")
 print(f"singular values head {np.round(res.singular_values[:4], 3)}")
 
@@ -31,7 +30,7 @@ print(f"storage fraction of that pair: {factor_ratio(768, 768, 192)}")
 r = rank_for_ratio(64, 48, 0.3)
 pair = factorize_layer(w, 0.3)
 low = reconstruct(pair)
-direct = frobenius_norm(DenseMatrix(w.array - low.array))
+direct = np.linalg.norm(w - low)
 print(f"\nrank {r} keeps {factor_ratio(64, 48, r):.4f} of storage")
 print(f"truncation error (from discarded spectrum) "
       f"{truncation_error(res, r):.6f}")
@@ -42,16 +41,16 @@ challengers = []
 for _ in range(200):
     a = rng.normal(size=(64, r))
     b = rng.normal(size=(48, r))
-    challengers.append(frobenius_norm(DenseMatrix(w.array - a @ b.T)))
+    challengers.append(np.linalg.norm(w - a @ b.T))
 print(f"best of 200 random rank-{r} pairs {min(challengers):.4f}, "
       f"svd {direct:.4f}")
 
 # Magnitude pruning keeps the largest entries; survivors are exact.
 mask = magnitude_mask(w, 0.3)
 pruned = apply_mask(w, mask)
-kept = int(mask.ones_count)
+kept = int(mask.sum())
 print(f"\npruning at 0.3 keeps {kept} of {64 * 48} entries")
-print(f"pruned matrix error {frobenius_norm(DenseMatrix(w.array - pruned.array)):.4f}")
+print(f"pruned matrix error {np.linalg.norm(w - pruned):.4f}")
 
 # The hybrid prunes the factors themselves. Storage multiplies:
 # p_svd * p_weight, the worked value from the ratio table.
@@ -63,4 +62,4 @@ r = rank_for_ratio(64, 48, 0.4)
 stored = int(mask_a.sum() + mask_b.sum())
 print(f"hybrid at (0.4, 0.5): {stored} stored numbers, "
       f"{stored / (64 * 48):.4f} of dense")
-print(f"hybrid error {frobenius_norm(DenseMatrix(w.array - a @ b.T)):.4f}")
+print(f"hybrid error {np.linalg.norm(w - a @ b.T):.4f}")

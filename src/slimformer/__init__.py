@@ -23,11 +23,10 @@ from .model import (TOY_CONFIG, Adam, EncoderModel, ModelConfig, init_model,
 from .pipeline import (budget_sequence, compress_model, interpolated_plan,
                        one_shot_compress, record_curve, run_pipeline,
                        truncated_config_for_budget)
-from .prune import (PruneMask, apply_mask, magnitude_mask, ones_for_fraction,
-                    topk_mask)
+from .prune import apply_mask, magnitude_mask, ones_for_fraction, topk_mask
 from .svd import SvdResult, svd, truncate, truncation_error
 from .tasks import (SyntheticTask, TaskConfig, evaluate, generate_task,
                     train_classifier)
-from .tensor import DenseMatrix, ParamBundle, load_bundle, save_bundle
+from .tensor import ParamBundle, load_bundle, save_bundle
 
 __version__ = "0.1.0"

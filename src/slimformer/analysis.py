@@ -17,7 +17,6 @@ from .errors import InputError, RangeError, ShapeError
 from .factorize import factorize_layer, rank_for_ratio, reconstruct
 from .hybrid import compress_matrix
 from .prune import apply_mask, magnitude_mask, ones_for_fraction
-from .tensor import DenseMatrix
 
 MODES = ("prune", "svd", "hybrid")
 
@@ -43,7 +42,7 @@ def bias_matrix(original, compressed):
             f"compressed shape {compressed.shape} does not match "
             f"original {original.shape}"
         )
-    return DenseMatrix(compressed.array - original.array)
+    return compressed - original
 
 
 def compressed_matrix(w, mode, retain, split=None):
@@ -75,11 +74,12 @@ def compressed_matrix(w, mode, retain, split=None):
             )
         if svd_f == 1.0:
             return apply_mask(w, magnitude_mask(w, prune_f))
-        r = rank_for_ratio(w.rows, w.cols, svd_f)
+        m, n = w.shape
+        r = rank_for_ratio(m, n, svd_f)
         (a, _), (b, _) = compress_matrix(
-            w, r, ones_for_fraction(prune_f, w.rows * r),
-            ones_for_fraction(prune_f, w.cols * r))
-        return DenseMatrix(a @ b.T)
+            w, r, ones_for_fraction(prune_f, m * r),
+            ones_for_fraction(prune_f, n * r))
+        return a @ b.T
     raise InputError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
@@ -87,7 +87,7 @@ def bias_histogram(bias, mode, bins=101):
     """Histogram the bias entries into uniform bins symmetric about 0."""
     if bins < 1:
         raise RangeError(f"bins must be >= 1, got {bins}")
-    flat = bias.array.ravel() if isinstance(bias, DenseMatrix) else np.ravel(bias)
+    flat = np.ravel(bias)
     limit = float(np.max(np.abs(flat)))
     if limit == 0.0:
         limit = 1.0
@@ -120,8 +120,7 @@ def bias_study(w, retain, split=None, bins=101):
 def gaussian_testbed(count=20, rows=64, cols=64, seed=0):
     """Seeded standard-normal matrices standing in for pretrained weights."""
     rng = np.random.default_rng(seed)
-    return [DenseMatrix(rng.standard_normal((rows, cols)))
-            for _ in range(count)]
+    return [rng.standard_normal((rows, cols)) for _ in range(count)]
 
 
 def histogram_csv(hist):

@@ -75,9 +75,8 @@ class ShapeTable:
     @classmethod
     def from_bundle(cls, bundle):
         return cls(
-            (name, bundle.group_of(name), bundle.matrix(name).rows,
-             bundle.matrix(name).cols)
-            for name in bundle.names()
+            (name, group, *matrix.shape)
+            for name, group, matrix in bundle.items()
         )
 
     @classmethod

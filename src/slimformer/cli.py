@@ -110,10 +110,10 @@ def _cmd_analyze_bias(args):
         if name.endswith(".mask"):
             continue
         w = bundle.matrix(name)
-        if w.rows < 2 or w.cols < 2:
+        if min(w.shape) < 2:
             continue
         compressed = compressed_matrix(w, args.mode, args.retain, split=split)
-        pooled.append(bias_matrix(w, compressed).array.ravel())
+        pooled.append(bias_matrix(w, compressed).ravel())
     if not pooled:
         raise InputError(f"bundle {args.bundle} has no matrices to analyze")
     hist = bias_histogram(np.concatenate(pooled), args.mode, bins=args.bins)

@@ -27,12 +27,11 @@ class DistillConfig:
     prediction_weight: float = 1.0
     temperature: float = 1.0
     symmetric_temperature: bool = False
-    hard_label_weight: float = 0.0
 
     def __post_init__(self):
         weights = (self.embedding_weight, self.attention_weight,
                    self.hidden_weight, self.prediction_weight)
-        if any(w < 0 for w in weights) or self.hard_label_weight < 0:
+        if any(w < 0 for w in weights):
             raise RangeError("loss weights must be non-negative")
         if not any(w > 0 for w in weights):
             raise RangeError("at least one distillation weight must be positive")
@@ -40,16 +39,11 @@ class DistillConfig:
             raise RangeError(f"temperature must be positive, got {self.temperature}")
 
 
-def _as_array(x):
-    return x.array if hasattr(x, "array") else np.asarray(x, dtype=np.float64)
-
-
 def mse_loss(student, teacher):
     """Mean of squared elementwise differences."""
-    s, t = _as_array(student), _as_array(teacher)
-    if s.shape != t.shape:
-        raise ShapeError(f"shape mismatch {s.shape} vs {t.shape}")
-    d = s - t
+    if student.shape != teacher.shape:
+        raise ShapeError(f"shape mismatch {student.shape} vs {teacher.shape}")
+    d = student - teacher
     return float(np.mean(d * d))
 
 
@@ -66,8 +60,7 @@ def prediction_loss(teacher_logits, student_logits, t=1.0,
     """
     if t <= 0:
         raise RangeError(f"temperature must be positive, got {t}")
-    ft = _as_array(teacher_logits)
-    fs = _as_array(student_logits)
+    ft, fs = teacher_logits, student_logits
     if ft.shape != fs.shape:
         raise ShapeError(f"logit shape mismatch {ft.shape} vs {fs.shape}")
     if ft.ndim == 1:
@@ -150,7 +143,7 @@ class DistillRecord:
     prediction: float
 
 
-def distill_step(student, teacher, tokens, cfg, opt, hard_labels=None):
+def distill_step(student, teacher, tokens, cfg, opt):
     """One optimizer step on the distillation objective.
 
     Masked student entries keep gradient zero and stay exactly zero
@@ -159,15 +152,6 @@ def distill_step(student, teacher, tokens, cfg, opt, hard_labels=None):
     teacher_trace = teacher.forward(tokens)
     student_trace, cache = student.forward(tokens, with_cache=True)
     total, breakdown, inj = distill_injections(teacher_trace, student_trace, cfg)
-    if cfg.hard_label_weight > 0:
-        if hard_labels is None:
-            raise RangeError("hard_label_weight > 0 requires labels")
-        from .tasks import cross_entropy
-
-        ce, dlogits = cross_entropy(student_trace.logits, hard_labels)
-        total += cfg.hard_label_weight * ce
-        extra = cfg.hard_label_weight * dlogits
-        inj.logits = extra if inj.logits is None else inj.logits + extra
     grads = student.backward(cache, inj)
     opt.step(student, grads)
     return DistillRecord(total, breakdown["embedding"], breakdown["attention"],

@@ -14,30 +14,29 @@ import numpy as np
 
 from .errors import ExpansionWarning, RangeError, ShapeError
 from .svd import svd, truncate
-from .tensor import DenseMatrix
 
 
 @dataclass(frozen=True)
 class LowRankPair:
     """Balanced factor pair (a: m x r, b: n x r) with a @ b.T ~ W."""
 
-    a: DenseMatrix
-    b: DenseMatrix
+    a: np.ndarray
+    b: np.ndarray
     r: int
 
     def __post_init__(self):
         if self.r < 1:
             raise RangeError(f"rank must be >= 1, got {self.r}")
-        if self.a.cols != self.r or self.b.cols != self.r:
+        if self.a.shape[1] != self.r or self.b.shape[1] != self.r:
             raise ShapeError(
-                f"factor widths {self.a.cols} and {self.b.cols} "
+                f"factor widths {self.a.shape[1]} and {self.b.shape[1]} "
                 f"do not match rank {self.r}"
             )
 
     @property
     def shape(self):
         """Shape of the reconstructed matrix."""
-        return (self.a.rows, self.b.rows)
+        return (self.a.shape[0], self.b.shape[0])
 
 
 def rank_for_ratio(m, n, p_svd):
@@ -70,24 +69,21 @@ def factorize_layer(w, p_svd=1.0, rank=None):
     ExpansionWarning but is still returned; budget code must not accept
     such a layer silently.
     """
-    r = rank_for_ratio(w.rows, w.cols, p_svd) if rank is None else rank
-    ratio = factor_ratio(w.rows, w.cols, r)
+    m, n = w.shape
+    r = rank_for_ratio(m, n, p_svd) if rank is None else rank
+    ratio = factor_ratio(m, n, r)
     if ratio > 1.0:
         warnings.warn(
-            f"rank {r} pair for {w.rows}x{w.cols} stores {ratio:.4f} "
+            f"rank {r} pair for {m}x{n} stores {ratio:.4f} "
             "of the dense parameter count",
             ExpansionWarning,
             stacklevel=2,
         )
     res = truncate(svd(w), r)
     root = np.sqrt(res.singular_values)
-    return LowRankPair(
-        a=DenseMatrix(res.u.array * root),
-        b=DenseMatrix(res.v.array * root),
-        r=r,
-    )
+    return LowRankPair(a=res.u * root, b=res.v * root, r=r)
 
 
 def reconstruct(pair):
     """Densify a pair back to a @ b.T."""
-    return DenseMatrix(pair.a.array @ pair.b.array.T)
+    return pair.a @ pair.b.T

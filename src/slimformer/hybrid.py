@@ -8,24 +8,24 @@ count is the total ones across both masks.
 from .errors import RangeError
 from .factorize import factor_ratio, factorize_layer
 from .prune import topk_mask
-from .tensor import DenseMatrix
 
 
 def compress_matrix(w, rank, ones_a, ones_b):
-    """Factorize the DenseMatrix w at rank, then keep the ones_a largest
-    |entries| of A (m x rank) and the ones_b largest of B (n x rank).
+    """Factorize the 2-D array w (m x n) at rank, then keep the ones_a
+    largest |entries| of A (m x rank) and the ones_b largest of B
+    (n x rank).
 
-    Returns ((a, mask_a), (b, mask_b)): each factor as an array with
-    its pruned entries zeroed, and its binary mask, or None for a half
-    that keeps every entry.
+    Returns ((a, mask_a), (b, mask_b)): each factor with its pruned
+    entries zeroed, and its binary mask, or None for a half that keeps
+    every entry.  w is only read; the returned arrays are new.
     """
     pair = factorize_layer(w, rank=rank)
     halves = []
-    for arr, ones in ((pair.a.array, ones_a), (pair.b.array, ones_b)):
+    for arr, ones in ((pair.a, ones_a), (pair.b, ones_b)):
         if ones == arr.size:
             halves.append((arr, None))
         else:
-            mask = topk_mask(DenseMatrix(arr), ones).bits.array
+            mask = topk_mask(arr, ones)
             halves.append((arr * mask, mask))
     return tuple(halves)
 

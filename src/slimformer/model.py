@@ -9,11 +9,18 @@ of the teacher's forward multiply-adds at toy width and 0.46 at width
 256 (perfbench/madds.md), yet at toy width its forward is no faster
 (0.057 s against the teacher's 0.055 s on 256x16 tokens).
 
+Parameters are plain writable float64 arrays owned by the model.
+Their structure (which keys form which slot, shapes, binary masks) is
+checked when a model is built; their values (finite entries) are checked
+where they enter as a bundle, by ParamBundle and load_bundle.
+
 forward exposes a trace at the four supervision points (embedding
 output, per-layer attention maps, per-layer hidden states, logits);
-backward accepts upstream gradients injected at any subset of those
-points and returns exact gradients for every parameter, with masked
-positions receiving exactly zero.
+with with_cache=True it also returns the per-layer activations that
+backward needs, and otherwise drops each layer's as soon as the next
+one starts.  backward accepts upstream gradients injected at any subset
+of those points and returns exact gradients for every parameter, with
+masked positions receiving exactly zero.
 """
 
 import math
@@ -25,7 +32,7 @@ from scipy.special import erf
 
 from .budget import transformer_shapes
 from .errors import InputError, NonFiniteError, RangeError
-from .tensor import DenseMatrix, ParamBundle
+from .tensor import ParamBundle
 
 LN_EPS = 1e-5
 INIT_STD = 0.05
@@ -159,7 +166,8 @@ def _flat(x):
 class EncoderModel:
     """Mutable parameter store plus forward/backward for one config.
 
-    params maps array keys to float64 ndarrays: a weight slot `w` is
+    params maps array keys to float64 ndarrays (copies of the arrays
+    passed in, so the model never aliases its caller): a weight slot `w` is
     either a single key "w" (dense, natural shape; vectors are 1-D) or
     the pair "w.a"/"w.b" (factored halves, m x r and n x r).  masks maps
     a subset of those keys to binary arrays; masked entries are zero and
@@ -255,12 +263,10 @@ class EncoderModel:
         entries = []
         for e in self.config.shapes():
             for key in self.slots[e.name][1]:
-                value = self.params[key]
-                mat = value.reshape(1, -1) if value.ndim == 1 else value
-                entries.append((key, e.group, DenseMatrix(mat)))
+                # vectors are stored as 1 x n bundle rows
+                entries.append((key, e.group, np.atleast_2d(self.params[key])))
                 if include_masks and key in self.masks:
-                    entries.append((f"{key}.mask", e.group,
-                                    DenseMatrix(self.masks[key])))
+                    entries.append((f"{key}.mask", e.group, self.masks[key]))
         return ParamBundle(entries)
 
     @classmethod
@@ -269,7 +275,7 @@ class EncoderModel:
         masks = {}
         vector_slots = {e.name for e in config.shapes() if e.is_vector}
         for name in bundle.names():
-            arr = bundle.matrix(name).array
+            arr = bundle.matrix(name)
             if name.endswith(".mask"):
                 masks[name[: -len(".mask")]] = arr
             elif name in vector_slots:
@@ -377,7 +383,8 @@ class EncoderModel:
                                        self.params[f"{p}.ln2.beta"])
             lc.update(ln1=ln1_cache, ln2=ln2_cache, x1=x1,
                       f_pre=f_pre, f_act=f_act)
-            cache["layers"].append(lc)
+            if with_cache:
+                cache["layers"].append(lc)
             attention.append(probs)
             hidden.append(x)
 

@@ -27,7 +27,6 @@ from .hybrid import compress_matrix
 from .model import Adam, EncoderModel
 from .prune import topk_mask
 from .tasks import evaluate
-from .tensor import DenseMatrix
 
 
 @dataclass(frozen=True)
@@ -100,25 +99,24 @@ def compress_model(model, plan):
 
     Returns the compressed student and the allocation that shaped it.
     Factor halves whose mask would be all ones carry no mask (pure
-    low-rank factorization, as for embedding matrices).
+    low-rank factorization, as for embedding matrices).  The model is
+    only read: the student's constructor copies every array it is given.
     """
     alloc = allocate(model.config.shapes(), plan)
     params = {}
     masks = {}
     for e in alloc.entries:
         w = model.effective_weight(e.name)
-        if e.kind == "dense":
-            params[e.name] = w.copy()
+        if e.kind == "dense" or (e.kind == "masked"
+                                 and e.ones == e.rows * e.cols):
+            params[e.name] = w
             continue
         if e.kind == "masked":
-            if e.ones == e.rows * e.cols:
-                params[e.name] = w.copy()
-                continue
-            mask = topk_mask(DenseMatrix(w), e.ones).bits.array
+            mask = topk_mask(w, e.ones)
             params[e.name] = w * mask
             masks[e.name] = mask
             continue
-        halves = compress_matrix(DenseMatrix(w), e.rank, e.ones_a, e.ones_b)
+        halves = compress_matrix(w, e.rank, e.ones_a, e.ones_b)
         for half, (arr, mask) in zip(("a", "b"), halves):
             key = f"{e.name}.{half}"
             params[key] = arr

@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import RangeError, SvdConvergenceError
-from .tensor import DenseMatrix
 
 COHERENCE_TOL = 1e-12
 SWEEP_CAP = 60
@@ -30,42 +29,38 @@ SWEEP_CAP = 60
 class SvdResult:
     """U (m x p), singular values (descending, length p), V (n x p)."""
 
-    u: DenseMatrix
+    u: np.ndarray
     singular_values: np.ndarray
-    v: DenseMatrix
+    v: np.ndarray
 
     @property
     def p(self) -> int:
         return len(self.singular_values)
 
-    def reconstruct(self) -> DenseMatrix:
+    def reconstruct(self) -> np.ndarray:
         """U diag(s) V^T."""
-        return DenseMatrix((self.u.array * self.singular_values) @ self.v.array.T)
+        return (self.u * self.singular_values) @ self.v.T
 
 
-def svd(w: DenseMatrix, max_sweeps: int = SWEEP_CAP) -> SvdResult:
-    """Full singular value decomposition of a dense matrix.
+def svd(w: np.ndarray, max_sweeps: int = SWEEP_CAP) -> SvdResult:
+    """Full singular value decomposition of a 2-D float64 array.
 
-    Deterministic for a fixed input.  Raises :class:`SvdConvergenceError`
-    with the residual coherence if the sweep cap is hit.
+    Deterministic for a fixed input; U and V are C-contiguous.  Raises
+    :class:`SvdConvergenceError` with the residual coherence if the sweep
+    cap is hit.
     """
-    a = w.array
-    if a.shape[0] >= a.shape[1]:
-        u, s, v = _jacobi(a, max_sweeps)
+    if w.shape[0] >= w.shape[1]:
+        u, s, v = _jacobi(w, max_sweeps)
     else:
-        v, s, u = _jacobi(a.T, max_sweeps)
+        v, s, u = _jacobi(w.T, max_sweeps)
     u, v = _fix_signs(u, v)
-    return SvdResult(DenseMatrix(u), s, DenseMatrix(v))
+    return SvdResult(np.ascontiguousarray(u), s, np.ascontiguousarray(v))
 
 
 def truncate(s: SvdResult, r: int) -> SvdResult:
-    """Keep the top r singular triples."""
+    """Keep the top r singular triples (U and V as column slices)."""
     _check_rank(s, r)
-    return SvdResult(
-        DenseMatrix(s.u.array[:, :r]),
-        s.singular_values[:r].copy(),
-        DenseMatrix(s.v.array[:, :r]),
-    )
+    return SvdResult(s.u[:, :r], s.singular_values[:r].copy(), s.v[:, :r])
 
 
 def truncation_error(s: SvdResult, r: int) -> float:

@@ -1,9 +1,11 @@
-"""Dense matrices, named parameter bundles, and the bundle file format.
+"""Named parameter bundles and the bundle file format.
 
-A :class:`DenseMatrix` is the universal parameter container: a 2-D array of
-float64, immutable after construction, with every entry finite.  A
+Matrices throughout the library are plain 2-D float64 numpy arrays.  A
 :class:`ParamBundle` is an ordered collection of named matrices, each tagged
 with the parameter group it belongs to (embedding / encoder / classifier).
+It is the one place that checks values: every entry is stored as a
+read-only, C-contiguous float64 copy with positive dimensions and finite
+entries, so a bundle can be shared freely and saved bit-exactly.
 
 Bundle files are a text manifest followed by one concatenated binary blob:
 
@@ -13,7 +15,9 @@ Bundle files are a text manifest followed by one concatenated binary blob:
     blob <total-bytes>
     <raw little-endian float64 values, row-major, in entry order>
 
-The manifest is ASCII and diffable; the blob is bit-exact on round trip.
+Entries are packed back to back: each offset is the summed size of the
+entries before it, and the blob is exactly their total.  The manifest is
+ASCII and diffable; the blob is bit-exact on round trip.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import (
+    BundleFormatError,
     ChecksumError,
     MalformedManifestError,
     NonFiniteError,
@@ -36,85 +41,19 @@ GROUPS = ("embedding", "encoder", "classifier")
 _MAGIC = "slimformer-bundle 1"
 
 
-class DenseMatrix:
-    """Immutable 2-D matrix of 64-bit reals.
-
-    Rows and cols are positive; all entries are finite.  The backing numpy
-    array is C-contiguous and marked read-only, so instances can be shared
-    freely across threads.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, values):
-        a = np.array(values, dtype=np.float64, order="C", copy=True)
-        if a.ndim != 2:
-            raise ShapeError(f"expected a 2-D array, got ndim={a.ndim}")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise ShapeError(f"matrix dimensions must be positive, got {a.shape}")
-        if not np.isfinite(a).all():
-            raise NonFiniteError("matrix entries must be finite (no NaN/Inf)")
-        a.flags.writeable = False
-        self._a = a
-
-    @classmethod
-    def from_flat(cls, rows: int, cols: int, values) -> "DenseMatrix":
-        """Build from a row-major flat sequence of length rows*cols."""
-        a = np.asarray(values, dtype=np.float64)
-        if a.ndim != 1 or a.size != rows * cols:
-            raise ShapeError(
-                f"flat data length {a.size} does not equal rows*cols = {rows * cols}"
-            )
-        return cls(a.reshape(rows, cols))
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
-    @property
-    def array(self) -> np.ndarray:
-        """The backing read-only float64 array."""
-        return self._a
-
-    def tobytes(self) -> bytes:
-        return self._a.tobytes()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return self.shape == other.shape and self.tobytes() == other.tobytes()
-
-    def __hash__(self):
-        return hash((self.shape, self.tobytes()))
-
-    def __repr__(self):
-        return f"DenseMatrix({self.rows}x{self.cols})"
-
-
-def frobenius_norm(a: DenseMatrix) -> float:
-    """sqrt of the sum of squared entries."""
-    return float(np.linalg.norm(a.array))
-
-
 class ParamBundle:
     """Ordered, immutable map of unique names to grouped matrices.
 
     Iteration order is insertion order.  Names contain no whitespace so the
-    manifest stays line-parseable.
+    manifest stays line-parseable.  Each matrix is copied, so the caller's
+    array stays writable; raises ShapeError for an array that is not 2-D
+    with positive dimensions and NonFiniteError for NaN or infinite entries.
     """
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries: Iterable[tuple[str, str, DenseMatrix]] = ()):
-        seen: dict[str, tuple[str, DenseMatrix]] = {}
+    def __init__(self, entries: Iterable[tuple[str, str, np.ndarray]] = ()):
+        seen: dict[str, tuple[str, np.ndarray]] = {}
         for name, group, matrix in entries:
             if not name or any(ch.isspace() for ch in name):
                 raise MalformedManifestError(f"invalid entry name {name!r}")
@@ -124,9 +63,7 @@ class ParamBundle:
                 )
             if name in seen:
                 raise MalformedManifestError(f"duplicate entry name {name!r}")
-            if not isinstance(matrix, DenseMatrix):
-                matrix = DenseMatrix(matrix)
-            seen[name] = (group, matrix)
+            seen[name] = (group, _frozen_copy(name, matrix))
         self._entries = seen
 
     def __contains__(self, name: str) -> bool:
@@ -141,29 +78,38 @@ class ParamBundle:
     def group_of(self, name: str) -> str:
         return self._entries[name][0]
 
-    def matrix(self, name: str) -> DenseMatrix:
+    def matrix(self, name: str) -> np.ndarray:
         return self._entries[name][1]
 
-    def items(self) -> Iterator[tuple[str, str, DenseMatrix]]:
+    def items(self) -> Iterator[tuple[str, str, np.ndarray]]:
         for name, (group, matrix) in self._entries.items():
             yield name, group, matrix
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamBundle):
             return NotImplemented
-        return list(self.items()) == list(other.items())
+        return [(n, g, m.shape, m.tobytes()) for n, g, m in self.items()] == [
+            (n, g, m.shape, m.tobytes()) for n, g, m in other.items()
+        ]
 
     def __repr__(self):
         return f"ParamBundle({len(self._entries)} entries, {param_count(self)} params)"
 
 
+def _frozen_copy(name: str, values) -> np.ndarray:
+    a = np.array(values, dtype=np.float64, order="C", copy=True)
+    if a.ndim != 2 or a.size == 0:
+        raise ShapeError(f"entry {name!r} must be a 2-D array with positive "
+                         f"dimensions, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"entry {name!r} holds NaN or infinite values")
+    a.flags.writeable = False
+    return a
+
+
 def param_count(bundle: ParamBundle, group: Optional[str] = None) -> int:
     """Total element count over entries matching the group filter."""
-    total = 0
-    for _, g, m in bundle.items():
-        if group is None or g == group:
-            total += m.rows * m.cols
-    return total
+    return sum(m.size for _, g, m in bundle.items() if group in (None, g))
 
 
 def save_bundle(bundle: ParamBundle, path) -> None:
@@ -175,7 +121,7 @@ def save_bundle(bundle: ParamBundle, path) -> None:
         raw = matrix.tobytes()
         crc = zlib.crc32(raw) & 0xFFFFFFFF
         manifest_lines.append(
-            f"entry {name} {group} {matrix.rows} {matrix.cols} {offset} {crc:08x}"
+            f"entry {name} {group} {matrix.shape[0]} {matrix.shape[1]} {offset} {crc:08x}"
         )
         blobs.append(raw)
         offset += len(raw)
@@ -203,19 +149,32 @@ def load_bundle(path) -> ParamBundle:
         )
 
     entries = []
+    end = 0
     for line in lines[1:-1]:
         name, group, rows, cols, offset, crc = _parse_entry_line(line)
-        nbytes = rows * cols * 8
-        if offset + nbytes > declared:
+        if offset != end:
+            raise MalformedManifestError(
+                f"entry {name!r} starts at byte {offset}; the entries before "
+                f"it end at byte {end}"
+            )
+        end = offset + rows * cols * 8
+        if end > declared:
             raise TruncatedBlobError(
-                f"entry {name!r} needs bytes [{offset}, {offset + nbytes}) "
+                f"entry {name!r} needs bytes [{offset}, {end}) "
                 f"but the blob holds {declared}"
             )
-        chunk = blob[offset : offset + nbytes]
+        chunk = blob[offset:end]
         if (zlib.crc32(chunk) & 0xFFFFFFFF) != crc:
             raise ChecksumError(f"checksum mismatch for entry {name!r}")
-        values = np.frombuffer(chunk, dtype="<f8")
-        entries.append((name, group, DenseMatrix.from_flat(rows, cols, values)))
+        values = np.frombuffer(chunk, dtype="<f8").reshape(rows, cols)
+        if not np.isfinite(values).all():
+            raise BundleFormatError(f"entry {name!r} holds NaN or infinite values")
+        entries.append((name, group, values))
+    if end != declared:
+        raise MalformedManifestError(
+            f"manifest declares a {declared}-byte blob but its entries "
+            f"cover {end} bytes"
+        )
     return ParamBundle(entries)
 
 

@@ -17,31 +17,30 @@ from slimformer.analysis import (
     histogram_csv,
 )
 from slimformer.errors import InputError, RangeError, ShapeError
-from slimformer.tensor import DenseMatrix
 
 
 class TestBiasMatrix:
     def test_identical_is_zero(self):
-        w = DenseMatrix(np.arange(6.0).reshape(2, 3))
-        assert np.array_equal(bias_matrix(w, w).array, np.zeros((2, 3)))
+        w = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(bias_matrix(w, w), np.zeros((2, 3)))
 
     def test_worked_prune_example(self):
-        w = DenseMatrix(np.array([[0.1, -0.4], [0.2, -0.3]]))
+        w = np.array([[0.1, -0.4], [0.2, -0.3]])
         pruned = compressed_matrix(w, "prune", 0.5)
         bias = bias_matrix(w, pruned)
         expected = np.array([[-0.1, 0.0], [-0.2, 0.0]])
-        assert np.allclose(bias.array, expected, atol=1e-15)
+        assert np.allclose(bias, expected, atol=1e-15)
 
     def test_rank_one_recovery(self):
         rng = np.random.default_rng(3)
-        w = DenseMatrix(np.outer(rng.normal(size=8), rng.normal(size=6)))
+        w = np.outer(rng.normal(size=8), rng.normal(size=6))
         from slimformer.factorize import factorize_layer, reconstruct
         bias = bias_matrix(w, reconstruct(factorize_layer(w, rank=1)))
-        assert np.max(np.abs(bias.array)) < 1e-8
+        assert np.max(np.abs(bias)) < 1e-8
 
     def test_shape_mismatch(self):
-        a = DenseMatrix(np.zeros((2, 3)))
-        b = DenseMatrix(np.zeros((3, 2)))
+        a = np.zeros((2, 3))
+        b = np.zeros((3, 2))
         with pytest.raises(ShapeError):
             bias_matrix(a, b)
 
@@ -52,24 +51,24 @@ class TestBiasHistogram:
         for _ in range(10):
             rows = int(rng.integers(2, 20))
             cols = int(rng.integers(2, 20))
-            bias = DenseMatrix(rng.normal(size=(rows, cols)))
+            bias = rng.normal(size=(rows, cols))
             hist = bias_histogram(bias, "prune")
             assert int(hist.counts.sum()) == rows * cols
-            assert hist.edges[0] <= bias.array.min()
-            assert hist.edges[-1] >= bias.array.max()
+            assert hist.edges[0] <= bias.min()
+            assert hist.edges[-1] >= bias.max()
 
     def test_symmetric_about_zero(self):
-        bias = DenseMatrix(np.array([[0.5, -2.0], [0.1, 0.3]]))
+        bias = np.array([[0.5, -2.0], [0.1, 0.3]])
         hist = bias_histogram(bias, "svd")
         assert hist.edges[0] == -hist.edges[-1] == -2.0
 
     def test_default_bin_count(self):
-        hist = bias_histogram(DenseMatrix(np.ones((3, 3))), "prune")
+        hist = bias_histogram(np.ones((3, 3)), "prune")
         assert len(hist.counts) == 101
         assert len(hist.edges) == 102
 
     def test_zero_bias_is_spike(self):
-        hist = bias_histogram(DenseMatrix(np.zeros((4, 5))), "hybrid")
+        hist = bias_histogram(np.zeros((4, 5)), "hybrid")
         assert hist.mean == 0.0 and hist.std == 0.0
         assert int(hist.counts.sum()) == 20
         assert np.count_nonzero(hist.counts) == 1
@@ -79,18 +78,18 @@ class TestBiasHistogram:
     def test_moments(self):
         rng = np.random.default_rng(11)
         values = rng.normal(size=(6, 7))
-        hist = bias_histogram(DenseMatrix(values), "svd")
+        hist = bias_histogram(values, "svd")
         assert hist.mean == pytest.approx(values.mean(), abs=1e-12)
         assert hist.std == pytest.approx(values.std(), abs=1e-12)
 
     def test_bin_validation(self):
         with pytest.raises(RangeError):
-            bias_histogram(DenseMatrix(np.ones((2, 2))), "prune", bins=0)
+            bias_histogram(np.ones((2, 2)), "prune", bins=0)
 
 
 class TestBiasStudy:
     def test_full_retain_spikes_at_zero(self):
-        w = DenseMatrix(np.random.default_rng(0).normal(size=(12, 10)))
+        w = np.random.default_rng(0).normal(size=(12, 10))
         for hist in bias_study(w, 1.0):
             assert hist.std == 0.0
             assert np.count_nonzero(hist.counts) == 1
@@ -117,12 +116,12 @@ class TestBiasStudy:
         prune = bias_study(w, 0.3)[0]
         survivors = int(round(0.3 * 192))
         compressed = compressed_matrix(w, "prune", 0.3)
-        zeros = int(np.sum(bias_matrix(w, compressed).array == 0.0))
+        zeros = int(np.sum(bias_matrix(w, compressed) == 0.0))
         assert zeros >= survivors
         assert int(prune.counts[50]) >= survivors
 
     def test_infeasible_split(self):
-        w = DenseMatrix(np.ones((8, 8)))
+        w = np.ones((8, 8))
         with pytest.raises(RangeError):
             bias_study(w, 0.2, split=(0.4, 0.4))
         with pytest.raises(RangeError):
@@ -132,7 +131,7 @@ class TestBiasStudy:
 
     def test_unknown_mode(self):
         with pytest.raises(InputError):
-            compressed_matrix(DenseMatrix(np.ones((4, 4))), "fold", 0.5)
+            compressed_matrix(np.ones((4, 4)), "fold", 0.5)
 
     def test_hybrid_beats_pure_svd_spread(self):
         # the statistical claim: at a matched 20% budget the hybrid's
@@ -156,7 +155,7 @@ class TestHistogramCsv:
         assert float(rows[-1][2]) == pytest.approx(hist.std)
 
     def test_edges_are_contiguous(self):
-        hist = bias_histogram(DenseMatrix(np.ones((3, 4))), "svd", bins=5)
+        hist = bias_histogram(np.ones((3, 4)), "svd", bins=5)
         rows = list(csv.reader(io.StringIO(histogram_csv(hist))))[1:-1]
         for first, second in zip(rows, rows[1:]):
             assert float(first[1]) == float(second[0])
@@ -223,7 +222,7 @@ class TestTestbed:
         a = gaussian_testbed(3, rows=5, cols=6, seed=9)
         b = gaussian_testbed(3, rows=5, cols=6, seed=9)
         for x, y in zip(a, b):
-            assert np.array_equal(x.array, y.array)
+            assert np.array_equal(x, y)
 
     def test_shapes_and_count(self):
         mats = gaussian_testbed(4, rows=7, cols=5, seed=1)

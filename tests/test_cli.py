@@ -2,6 +2,7 @@
 
 import csv
 import io
+import zlib
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from slimformer.budget import CompressionPlan, load_plan, save_plan
 from slimformer.cli import main
 from slimformer.model import (TOY_CONFIG, init_model, load_model,
                               save_config, save_model)
-from slimformer.tensor import DenseMatrix, ParamBundle, load_bundle, \
-    save_bundle
+from slimformer.tensor import ParamBundle, load_bundle, save_bundle
 
 
 @pytest.fixture()
@@ -29,6 +29,36 @@ def write_plan(tmp_path, **overrides):
     path = tmp_path / "plan.txt"
     save_plan(CompressionPlan(**fields), path)
     return str(path)
+
+
+def _manifest(data):
+    """(manifest lines, row of each entry name, blob) of bundle bytes."""
+    end = data.index(b"\n", data.index(b"\nblob ") + 1) + 1
+    lines = data[:end].decode("ascii").split("\n")
+    rows = {line.split()[1]: i for i, line in enumerate(lines)
+            if line.startswith("entry ")}
+    return lines, rows, data[end:]
+
+
+def nan_payload(data):
+    """A NaN as tok_embed's first value, under a recomputed checksum."""
+    lines, rows, blob = _manifest(data)
+    fields = lines[rows["tok_embed"]].split()
+    blob = np.array([np.nan]).tobytes() + blob[8:]
+    nbytes = int(fields[3]) * int(fields[4]) * 8
+    fields[6] = f"{zlib.crc32(blob[:nbytes]) & 0xFFFFFFFF:08x}"
+    lines[rows["tok_embed"]] = " ".join(fields)
+    return "\n".join(lines).encode("ascii") + blob
+
+
+def aliasing_offset(data):
+    """enc0.attn.wk pointed at enc0.attn.wq's bytes and checksum."""
+    lines, rows, blob = _manifest(data)
+    wq = lines[rows["enc0.attn.wq"]].split()
+    wk = lines[rows["enc0.attn.wk"]].split()
+    wk[5:] = wq[5:]
+    lines[rows["enc0.attn.wk"]] = " ".join(wk)
+    return "\n".join(lines).encode("ascii") + blob
 
 
 class TestPlan:
@@ -97,29 +127,37 @@ class TestCompress:
                      "--plan", str(bad), "--out", str(tmp_path / "s")])
         assert code == 4
 
-    @pytest.mark.parametrize("extra", [
+    @pytest.mark.parametrize("edit", [
         {"junk": np.ones((1, 4))},
         {"enc0.attn.wq.a": np.ones((32, 4)),
          "enc0.attn.wq.b": np.ones((32, 4))},
         {"enc0.attn.wq": np.ones((5, 7))},
         {"enc0.attn.wq.mask": np.full((32, 32), 0.5)},
+        nan_payload,
+        aliasing_offset,
     ], ids=["unclaimed-key", "dense-and-factored", "wrong-shape",
-            "non-binary-mask"])
-    def test_bad_bundle(self, tmp_path, extra, capsys):
-        """The teacher's bundle with entries added or replaced."""
+            "non-binary-mask", "nan-payload", "aliasing-offset"])
+    def test_bad_bundle(self, tmp_path, edit, capsys):
+        """The teacher's bundle with entries added or replaced, or its
+        saved bytes edited; a file the loader rejects also fails check."""
         entries = {name: (group, m) for name, group, m
                    in init_model(TOY_CONFIG, seed=0).to_bundle().items()}
-        entries.update((name, ("encoder", DenseMatrix(arr)))
-                       for name, arr in extra.items())
-        base = tmp_path / "bad"
+        if isinstance(edit, dict):
+            entries.update((name, ("encoder", arr))
+                           for name, arr in edit.items())
+        path = tmp_path / "bad.bundle"
         save_bundle(ParamBundle((n, g, m) for n, (g, m) in entries.items()),
-                    f"{base}.bundle")
-        save_config(TOY_CONFIG, f"{base}.config")
-        code = main(["compress", "--bundle", f"{base}.bundle",
-                     "--plan", write_plan(tmp_path),
+                    path)
+        if callable(edit):
+            path.write_bytes(edit(path.read_bytes()))
+        save_config(TOY_CONFIG, tmp_path / "bad.config")
+        plan = write_plan(tmp_path)
+        code = main(["compress", "--bundle", str(path), "--plan", plan,
                      "--out", str(tmp_path / "s")])
         assert code == 4
         assert "error:" in capsys.readouterr().err
+        if callable(edit):
+            assert main(["check", "--bundle", str(path), "--plan", plan]) == 4
 
 
 class TestDistill:
@@ -154,9 +192,7 @@ class TestDistill:
 class TestAnalyzeBias:
     def expected_cells(self, bundle_path):
         bundle = load_bundle(bundle_path)
-        return sum(bundle.matrix(n).rows * bundle.matrix(n).cols
-                   for n in bundle.names()
-                   if bundle.matrix(n).rows > 1 and bundle.matrix(n).cols > 1)
+        return sum(m.size for _, _, m in bundle.items() if min(m.shape) > 1)
 
     def test_stdout_histogram(self, teacher_path, capsys):
         code = main(["analyze", "bias", "--bundle", teacher_path,

@@ -296,15 +296,3 @@ class TestDistillStep:
         records = [distill_step(student, teacher, tokens, DistillConfig(), opt)
                    for _ in range(40)]
         assert records[-1].total < records[0].total
-
-    def test_hard_labels(self):
-        teacher = init_model(CFG, seed=47)
-        student = init_model(CFG, seed=48)
-        cfg = DistillConfig(hard_label_weight=0.5)
-        tokens = rand_tokens(np.random.default_rng(4))
-        with pytest.raises(RangeError):
-            distill_step(student, teacher, tokens, cfg, Adam(lr=1e-3))
-        labels = np.array([0, 1, 2])
-        record = distill_step(student, teacher, tokens, cfg, Adam(lr=1e-3),
-                              hard_labels=labels)
-        assert np.isfinite(record.total)

@@ -10,7 +10,6 @@ from slimformer.factorize import (
     reconstruct,
 )
 from slimformer.svd import svd, truncation_error
-from slimformer.tensor import DenseMatrix
 
 
 def test_rank_for_ratio_worked_values():
@@ -62,44 +61,44 @@ def test_floor_slack_bound():
 
 
 def test_forced_rank_one_keeps_top_triple():
-    pair = factorize_layer(DenseMatrix(np.diag([3.0, 2.0, 1.0])), rank=1)
+    pair = factorize_layer(np.diag([3.0, 2.0, 1.0]), rank=1)
     assert pair.r == 1
     recon = reconstruct(pair)
-    assert np.allclose(recon.array, np.diag([3.0, 0.0, 0.0]), atol=1e-8)
+    assert np.allclose(recon, np.diag([3.0, 0.0, 0.0]), atol=1e-8)
 
 
 def test_full_rank_reconstruction():
     rng = np.random.default_rng(2)
-    w = DenseMatrix(rng.normal(size=(6, 1)))  # floor gives full rank here
+    w = rng.normal(size=(6, 1))  # floor gives full rank here
     with pytest.warns(ExpansionWarning):  # 7 stored vs 6 dense
         pair = factorize_layer(w, 1.0)
     assert pair.r == 1
-    assert np.allclose(reconstruct(pair).array, w.array, atol=1e-8)
-    w2 = DenseMatrix(rng.normal(size=(5, 4)))
+    assert np.allclose(reconstruct(pair), w, atol=1e-8)
+    w2 = rng.normal(size=(5, 4))
     with pytest.warns(ExpansionWarning):
         pair2 = factorize_layer(w2, rank=4)
-    assert np.allclose(reconstruct(pair2).array, w2.array, atol=1e-8)
+    assert np.allclose(reconstruct(pair2), w2, atol=1e-8)
 
 
 def test_rank_one_input_recovered_at_any_fraction():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(7, 1))
     v = rng.normal(size=(4, 1))
-    w = DenseMatrix(u @ v.T)
+    w = u @ v.T
     for p in (0.05, 0.3, 1.0):
         pair = factorize_layer(w, p)
-        err = np.linalg.norm(reconstruct(pair).array - w.array)
-        assert err < 1e-8 * np.linalg.norm(w.array)
+        err = np.linalg.norm(reconstruct(pair) - w)
+        assert err < 1e-8 * np.linalg.norm(w)
 
 
 def test_balanced_split():
     # a.T @ a and b.T @ b must both equal diag of the retained spectrum
     rng = np.random.default_rng(4)
-    w = DenseMatrix(rng.normal(size=(9, 6)))
+    w = rng.normal(size=(9, 6))
     pair = factorize_layer(w, 0.5)
     s = svd(w).singular_values[: pair.r]
-    assert np.allclose(pair.a.array.T @ pair.a.array, np.diag(s), atol=1e-9)
-    assert np.allclose(pair.b.array.T @ pair.b.array, np.diag(s), atol=1e-9)
+    assert np.allclose(pair.a.T @ pair.a, np.diag(s), atol=1e-9)
+    assert np.allclose(pair.b.T @ pair.b, np.diag(s), atol=1e-9)
 
 
 def test_reconstruction_matches_truncation_error():
@@ -107,25 +106,25 @@ def test_reconstruction_matches_truncation_error():
     for _ in range(20):
         m = int(rng.integers(2, 16))
         n = int(rng.integers(2, 16))
-        w = DenseMatrix(rng.normal(size=(m, n)))
+        w = rng.normal(size=(m, n))
         p = float(rng.uniform(0.1, 1.0))
         pair = factorize_layer(w, p)
-        err = np.linalg.norm(reconstruct(pair).array - w.array)
+        err = np.linalg.norm(reconstruct(pair) - w)
         assert err <= truncation_error(svd(w), pair.r) + 1e-8
 
 
 def test_zero_pair_reconstructs_zero():
     pair = LowRankPair(
-        a=DenseMatrix(np.zeros((4, 2))),
-        b=DenseMatrix(np.zeros((3, 2))),
+        a=np.zeros((4, 2)),
+        b=np.zeros((3, 2)),
         r=2,
     )
-    assert np.array_equal(reconstruct(pair).array, np.zeros((4, 3)))
+    assert np.array_equal(reconstruct(pair), np.zeros((4, 3)))
 
 
 def test_expansion_is_warned_not_silent():
     rng = np.random.default_rng(6)
-    w = DenseMatrix(rng.normal(size=(10, 2)))
+    w = rng.normal(size=(10, 2))
     with pytest.warns(ExpansionWarning):
         pair = factorize_layer(w, rank=2)
     assert pair.r == 2  # still returned, caller decides

@@ -7,12 +7,18 @@ bias never affects the loss because softmax rows are shift
 invariant) without masking anything above 1e-10 absolute.
 """
 
+import functools
+import os
+import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from slimformer.errors import ExpansionWarning, InputError, RangeError
+from slimformer.errors import (BundleFormatError, ExpansionWarning,
+                               InputError, RangeError)
 from slimformer.factorize import factorize_layer
 from slimformer.model import (
     TOY_CONFIG,
@@ -27,7 +33,6 @@ from slimformer.model import (
     save_model,
     softmax,
 )
-from slimformer.tensor import DenseMatrix
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -228,6 +233,25 @@ class TestForward:
         two = model.forward(np.array([[1, 2, 3]]))
         assert np.array_equal(one.logits, two.logits)
 
+    def test_cache_off_lowers_peak_memory(self):
+        # without with_cache, a layer's activations are freed once the
+        # next layer starts instead of being kept for backward
+        model = init_model(TOY_CONFIG, seed=0)
+        tokens = rand_tokens(np.random.default_rng(6), TOY_CONFIG, batch=64)
+
+        def peak(with_cache):
+            tracemalloc.start()
+            try:
+                out = model.forward(tokens, with_cache=with_cache)
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        off, trace = peak(False)
+        on, (cached, _) = peak(True)
+        assert np.array_equal(trace.logits, cached.logits)
+        assert off < on
+
 
 class TestBackward:
     def test_zero_injection_zero_grads(self):
@@ -313,9 +337,9 @@ class TestFactoredSlots:
             with warnings.catch_warnings():
                 # full rank stores more than dense; intended here
                 warnings.simplefilter("ignore", ExpansionWarning)
-                pair = factorize_layer(DenseMatrix(w), rank=min(w.shape))
-            params[f"{slot}.a"] = pair.a.array
-            params[f"{slot}.b"] = pair.b.array
+                pair = factorize_layer(w, rank=min(w.shape))
+            params[f"{slot}.a"] = pair.a
+            params[f"{slot}.b"] = pair.b
         return model, EncoderModel(cfg, params)
 
     def test_factored_forward_matches_dense(self):
@@ -407,6 +431,64 @@ class TestBundleRoundTrip:
         assert bundle.group_of("tok_embed") == "embedding"
         assert bundle.group_of("enc0.attn.wq") == "encoder"
         assert bundle.group_of("cls.w") == "classifier"
+
+
+@functools.cache
+def fuzz_source():
+    """Saved bundle bytes of a small model with a factored slot and masks."""
+    cfg = small_config()
+    model = init_model(cfg, seed=17)
+    params = dict(model.params)
+    w = params.pop("enc0.attn.wq")
+    pair = factorize_layer(w, rank=2)
+    params["enc0.attn.wq.a"], params["enc0.attn.wq.b"] = pair.a, pair.b
+    mask = np.ones_like(params["enc1.ffn.w1"])
+    mask[:, ::3] = 0.0
+    model = EncoderModel(cfg, params, {"enc1.ffn.w1": mask,
+                                       "enc0.attn.wq.b": np.eye(8, 2)})
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, os.path.join(tmp, "m"))
+        with open(os.path.join(tmp, "m.bundle"), "rb") as fh:
+            return fh.read()
+
+
+@st.composite
+def edited_bundles(draw):
+    """The source bundle after random byte edits, insertions, deletions
+    and an optional truncation; most edits land in the manifest."""
+    data = bytearray(fuzz_source())
+    header = data.index(b"\nblob ") + 1
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("set", "insert", "delete")))
+        limit = header if draw(st.booleans()) else len(data)
+        pos = min(draw(st.integers(0, limit)), len(data))
+        byte = draw(st.one_of(st.sampled_from(b" \n.-0123456789abe"),
+                              st.integers(0, 255)))
+        if op == "insert":
+            data.insert(pos, byte)
+        elif pos < len(data) and op == "set":
+            data[pos] = byte
+        elif pos < len(data):
+            del data[pos]
+    if draw(st.booleans()):
+        del data[draw(st.integers(0, len(data))):]
+    return bytes(data)
+
+
+class TestBundleFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(edited_bundles())
+    def test_edited_bytes_load_or_raise_format_errors(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            base = os.path.join(tmp, "m")
+            save_config(small_config(), base + ".config")
+            with open(base + ".bundle", "wb") as fh:
+                fh.write(data)
+            try:
+                load_model(base)
+            except (BundleFormatError, InputError):
+                pass
 
 
 class TestAdam:

@@ -3,38 +3,37 @@ import pytest
 
 from slimformer.errors import RangeError, SvdConvergenceError
 from slimformer.svd import SvdResult, svd, truncate, truncation_error
-from slimformer.tensor import DenseMatrix
 
 
-def _check_result(w: DenseMatrix, res: SvdResult, tol=1e-8):
-    u, s, v = res.u.array, res.singular_values, res.v.array
-    p = min(w.rows, w.cols)
-    assert u.shape == (w.rows, p)
-    assert v.shape == (w.cols, p)
+def _check_result(w: np.ndarray, res: SvdResult, tol=1e-8):
+    u, s, v = res.u, res.singular_values, res.v
+    p = min(w.shape)
+    assert u.shape == (w.shape[0], p)
+    assert v.shape == (w.shape[1], p)
     assert np.all(np.diff(s) <= 1e-12)
     assert np.all(s >= 0.0)
     assert np.linalg.norm(u.T @ u - np.eye(p)) < tol
     assert np.linalg.norm(v.T @ v - np.eye(p)) < tol
     recon = (u * s) @ v.T
-    denom = max(np.linalg.norm(w.array), 1e-30)
-    assert np.linalg.norm(recon - w.array) / denom < tol
+    denom = max(np.linalg.norm(w), 1e-30)
+    assert np.linalg.norm(recon - w) / denom < tol
 
 
 def test_identity():
-    res = svd(DenseMatrix(np.eye(3)))
+    res = svd(np.eye(3))
     assert np.allclose(res.singular_values, [1.0, 1.0, 1.0])
-    _check_result(DenseMatrix(np.eye(3)), res)
+    _check_result(np.eye(3), res)
 
 
 def test_diagonal_is_its_own_svd():
-    w = DenseMatrix(np.diag([3.0, 2.0, 1.0]))
+    w = np.diag([3.0, 2.0, 1.0])
     res = svd(w)
     assert np.allclose(res.singular_values, [3.0, 2.0, 1.0], atol=1e-14)
     _check_result(w, res)
 
 
 def test_nilpotent_2x2():
-    w = DenseMatrix([[0.0, 2.0], [0.0, 0.0]])
+    w = np.array([[0.0, 2.0], [0.0, 0.0]])
     res = svd(w)
     assert np.allclose(res.singular_values, [2.0, 0.0], atol=1e-14)
     _check_result(w, res)
@@ -43,7 +42,7 @@ def test_nilpotent_2x2():
 def test_random_shapes_orthogonal_and_reconstruct():
     rng = np.random.default_rng(0)
     for m, n in [(5, 5), (8, 3), (3, 8), (12, 7), (1, 6), (6, 1), (1, 1)]:
-        w = DenseMatrix(rng.normal(size=(m, n)))
+        w = rng.normal(size=(m, n))
         _check_result(w, svd(w))
 
 
@@ -51,50 +50,50 @@ def test_rank_deficient_inputs():
     rng = np.random.default_rng(5)
     u_vec = rng.normal(size=(7, 1))
     v_vec = rng.normal(size=(5, 1))
-    w = DenseMatrix(u_vec @ v_vec.T)  # rank one
+    w = u_vec @ v_vec.T  # rank one
     res = svd(w)
     _check_result(w, res)
     assert res.singular_values[1] < 1e-10 * res.singular_values[0]
-    _check_result(DenseMatrix(np.zeros((4, 3))), svd(DenseMatrix(np.zeros((4, 3)))))
+    _check_result(np.zeros((4, 3)), svd(np.zeros((4, 3))))
 
 
 def test_transpose_has_same_singular_values():
     rng = np.random.default_rng(1)
     for _ in range(10):
         a = rng.normal(size=(9, 4))
-        s1 = svd(DenseMatrix(a)).singular_values
-        s2 = svd(DenseMatrix(a.T)).singular_values
+        s1 = svd(a).singular_values
+        s2 = svd(a.T).singular_values
         assert np.max(np.abs(s1 - s2)) < 1e-10 * max(1.0, s1[0])
 
 
 def test_positive_scaling_scales_singular_values():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(6, 5))
-    s1 = svd(DenseMatrix(a)).singular_values
+    s1 = svd(a).singular_values
     for c in (0.25, 3.0, 1e4):
-        s2 = svd(DenseMatrix(c * a)).singular_values
+        s2 = svd(c * a).singular_values
         assert np.max(np.abs(s2 - c * s1)) < 1e-10 * c * s1[0]
 
 
 def test_determinism():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(10, 6))
-    r1 = svd(DenseMatrix(a))
-    r2 = svd(DenseMatrix(a.copy()))
+    r1 = svd(a)
+    r2 = svd(a.copy())
     assert r1.u.tobytes() == r2.u.tobytes()
     assert r1.v.tobytes() == r2.v.tobytes()
     assert np.array_equal(r1.singular_values, r2.singular_values)
 
 
 def test_truncate_full_rank_is_identity():
-    res = svd(DenseMatrix(np.diag([3.0, 2.0, 1.0])))
+    res = svd(np.diag([3.0, 2.0, 1.0]))
     t = truncate(res, 3)
     assert np.array_equal(t.singular_values, res.singular_values)
-    assert t.u == res.u and t.v == res.v
+    assert np.array_equal(t.u, res.u) and np.array_equal(t.v, res.v)
 
 
 def test_truncate_keeps_top_values():
-    res = svd(DenseMatrix(np.diag([3.0, 2.0, 1.0])))
+    res = svd(np.diag([3.0, 2.0, 1.0]))
     t = truncate(res, 1)
     assert t.singular_values.tolist() == [3.0]
     assert t.u.shape == (3, 1)
@@ -102,7 +101,7 @@ def test_truncate_keeps_top_values():
 
 
 def test_truncate_range_errors():
-    res = svd(DenseMatrix(np.diag([3.0, 2.0, 1.0])))
+    res = svd(np.diag([3.0, 2.0, 1.0]))
     with pytest.raises(RangeError):
         truncate(res, 0)
     with pytest.raises(RangeError):
@@ -112,7 +111,7 @@ def test_truncate_range_errors():
 
 
 def test_truncation_error_closed_forms():
-    res = svd(DenseMatrix(np.diag([3.0, 2.0, 1.0])))
+    res = svd(np.diag([3.0, 2.0, 1.0]))
     assert truncation_error(res, 3) == 0.0
     assert abs(truncation_error(res, 1) - np.sqrt(5.0)) < 1e-12
     assert abs(truncation_error(res, 2) - 1.0) < 1e-12
@@ -125,10 +124,10 @@ def test_eckart_young_against_random_factor_oracle():
     for _ in range(10):
         m, n = int(rng.integers(4, 12)), int(rng.integers(4, 12))
         w = rng.normal(size=(m, n))
-        res = svd(DenseMatrix(w))
+        res = svd(w)
         r = int(rng.integers(1, min(m, n) + 1))
         t = truncate(res, r)
-        approx = (t.u.array * t.singular_values) @ t.v.array.T
+        approx = (t.u * t.singular_values) @ t.v.T
         err = np.linalg.norm(w - approx)
         assert abs(err - truncation_error(res, r)) < 1e-8
         for _ in range(100):
@@ -142,7 +141,7 @@ def test_eckart_young_against_random_factor_oracle():
 
 def test_convergence_error_reports_residual():
     rng = np.random.default_rng(9)
-    w = DenseMatrix(rng.normal(size=(8, 8)))
+    w = rng.normal(size=(8, 8))
     with pytest.raises(SvdConvergenceError) as exc:
         svd(w, max_sweeps=1)
     assert exc.value.residual > 0.0

@@ -1,7 +1,10 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from slimformer.errors import (
+    BundleFormatError,
     ChecksumError,
     MalformedManifestError,
     NonFiniteError,
@@ -9,44 +12,44 @@ from slimformer.errors import (
     TruncatedBlobError,
 )
 from slimformer.tensor import (
-    DenseMatrix,
     ParamBundle,
-    frobenius_norm,
     load_bundle,
     param_count,
     save_bundle,
 )
 
 
-def test_frobenius_norm_values():
-    assert frobenius_norm(DenseMatrix(np.zeros((3, 4)))) == 0.0
-    assert frobenius_norm(DenseMatrix([[3.0, 4.0]])) == 5.0
-    assert abs(frobenius_norm(DenseMatrix(np.eye(3))) - np.sqrt(3.0)) < 1e-15
+def _one(values):
+    return ParamBundle([("w", "encoder", values)])
 
 
-def test_dense_matrix_rejects_nonfinite_and_bad_shape():
+def test_bundle_rejects_nonfinite_and_bad_shape():
     with pytest.raises(NonFiniteError):
-        DenseMatrix([[1.0, np.nan]])
+        _one([[1.0, np.nan]])
     with pytest.raises(NonFiniteError):
-        DenseMatrix([[np.inf]])
+        _one([[np.inf]])
     with pytest.raises(ShapeError):
-        DenseMatrix([1.0, 2.0])
+        _one([1.0, 2.0])
     with pytest.raises(ShapeError):
-        DenseMatrix(np.zeros((0, 3)))
+        _one(np.zeros((0, 3)))
 
 
-def test_dense_matrix_is_immutable():
-    m = DenseMatrix([[1.0]])
+def test_bundle_entries_are_read_only_copies():
+    src = np.array([[1.0, 2.0], [3.0, 4.0]], order="F")
+    m = _one(src).matrix("w")
     with pytest.raises(ValueError):
-        m.array[0, 0] = 2.0
+        m[0, 0] = 2.0
+    assert m.dtype == np.float64 and m.flags.c_contiguous
+    src[0, 0] = 9.0  # the caller's array stays writable and unshared
+    assert m[0, 0] == 1.0
 
 
 def _toy_bundle():
     return ParamBundle(
         [
-            ("emb", "embedding", DenseMatrix(np.arange(6.0).reshape(2, 3))),
-            ("enc", "encoder", DenseMatrix(np.arange(20.0).reshape(4, 5))),
-            ("head", "classifier", DenseMatrix([[1.0], [2.0]])),
+            ("emb", "embedding", np.arange(6.0).reshape(2, 3)),
+            ("enc", "encoder", np.arange(20.0).reshape(4, 5)),
+            ("head", "classifier", np.array([[1.0], [2.0]])),
         ]
     )
 
@@ -57,7 +60,7 @@ def test_param_count_by_group():
     assert param_count(b, "encoder") == 20
     assert param_count(b, "embedding") == 6
     assert param_count(ParamBundle(), "classifier") == 0
-    one = ParamBundle([("w", "encoder", DenseMatrix(np.ones((4, 5))))])
+    one = ParamBundle([("w", "encoder", np.ones((4, 5)))])
     assert param_count(one, "encoder") == 20
     assert param_count(one, "classifier") == 0
 
@@ -67,13 +70,13 @@ def test_group_counts_sum_to_total():
     entries = []
     for i in range(9):
         g = ["embedding", "encoder", "classifier"][i % 3]
-        entries.append((f"m{i}", g, DenseMatrix(rng.normal(size=(i + 1, 2)))))
+        entries.append((f"m{i}", g, rng.normal(size=(i + 1, 2))))
     b = ParamBundle(entries)
     assert sum(param_count(b, g) for g in ("embedding", "encoder", "classifier")) == param_count(b)
 
 
 def test_bundle_rejects_bad_names_and_groups():
-    m = DenseMatrix([[1.0]])
+    m = np.array([[1.0]])
     with pytest.raises(MalformedManifestError):
         ParamBundle([("has space", "encoder", m)])
     with pytest.raises(MalformedManifestError):
@@ -98,7 +101,7 @@ def test_round_trip_bit_exact_random_bundles(tmp_path):
             cols = int(rng.integers(1, 9))
             g = ["embedding", "encoder", "classifier"][int(rng.integers(3))]
             vals = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 8)
-            entries.append((f"t{trial}_m{i}", g, DenseMatrix(vals)))
+            entries.append((f"t{trial}_m{i}", g, vals))
         b = ParamBundle(entries)
         path = tmp_path / f"r{trial}.bundle"
         save_bundle(b, path)
@@ -117,7 +120,7 @@ def test_load_truncated_blob(tmp_path):
 
 
 def test_load_unknown_group(tmp_path):
-    b = ParamBundle([("w", "encoder", DenseMatrix([[1.0]]))])
+    b = ParamBundle([("w", "encoder", np.array([[1.0]]))])
     path = tmp_path / "g.bundle"
     save_bundle(b, path)
     data = path.read_bytes().replace(b" encoder ", b" decoder ")
@@ -127,7 +130,7 @@ def test_load_unknown_group(tmp_path):
 
 
 def test_load_checksum_mismatch(tmp_path):
-    b = ParamBundle([("w", "encoder", DenseMatrix([[1.0, 2.0]]))])
+    b = ParamBundle([("w", "encoder", np.array([[1.0, 2.0]]))])
     path = tmp_path / "c.bundle"
     save_bundle(b, path)
     data = bytearray(path.read_bytes())
@@ -141,4 +144,50 @@ def test_load_malformed_manifest(tmp_path):
     path = tmp_path / "m.bundle"
     path.write_bytes(b"not-a-bundle\nblob 0\n")
     with pytest.raises(MalformedManifestError):
+        load_bundle(path)
+
+
+def _rewrite_entry(path, index, offset, crc):
+    """Set the offset and checksum fields of the index-th manifest entry."""
+    lines = path.read_bytes().split(b"\n")
+    fields = lines[1 + index].split(b" ")
+    fields[5], fields[6] = str(offset).encode(), crc.encode()
+    lines[1 + index] = b" ".join(fields)
+    path.write_bytes(b"\n".join(lines))
+
+
+def _crc_of(path, index):
+    return path.read_bytes().split(b"\n")[1 + index].split(b" ")[6].decode()
+
+
+def test_load_rejects_aliasing_offsets(tmp_path):
+    # the second entry points at the first one's bytes, with its checksum
+    b = ParamBundle([("a", "encoder", np.ones((2, 2))),
+                     ("b", "encoder", np.zeros((2, 2)))])
+    path = tmp_path / "alias.bundle"
+    save_bundle(b, path)
+    _rewrite_entry(path, 1, 0, _crc_of(path, 0))
+    with pytest.raises(MalformedManifestError):
+        load_bundle(path)
+
+
+def test_load_rejects_gaps(tmp_path):
+    b = ParamBundle([("a", "encoder", np.ones((1, 2)))])
+    path = tmp_path / "gap.bundle"
+    save_bundle(b, path)
+    data = path.read_bytes().replace(b"blob 16\n", b"blob 24\n") + bytes(8)
+    path.write_bytes(data)
+    with pytest.raises(MalformedManifestError):
+        load_bundle(path)
+
+
+def test_load_rejects_nonfinite_payload(tmp_path):
+    # a NaN under a matching checksum is a bad file, not a numeric failure
+    path = tmp_path / "nan.bundle"
+    save_bundle(ParamBundle([("w", "encoder", np.ones((1, 2)))]), path)
+    nan = np.array([[1.0, np.nan]]).tobytes()
+    data = path.read_bytes()[:-16] + nan
+    path.write_bytes(data)
+    _rewrite_entry(path, 0, 0, f"{zlib.crc32(nan) & 0xFFFFFFFF:08x}")
+    with pytest.raises(BundleFormatError):
         load_bundle(path)
