@@ -19,10 +19,9 @@ from .factorize import (LowRankPair, factor_ratio, factorize_layer,
                         rank_for_ratio, reconstruct)
 from .hybrid import compress_matrix, hybrid_ratio
 from .model import (TOY_CONFIG, Adam, EncoderModel, ModelConfig, init_model,
-                    load_model, save_model)
+                    load_model, save_model, truncated_config_for_budget)
 from .pipeline import (budget_sequence, compress_model, interpolated_plan,
-                       one_shot_compress, record_curve, run_pipeline,
-                       truncated_config_for_budget)
+                       one_shot_compress, record_curve, run_pipeline)
 from .prune import apply_mask, magnitude_mask, ones_for_fraction, topk_mask
 from .svd import SvdResult, svd, truncate, truncation_error
 from .tasks import (SyntheticTask, TaskConfig, evaluate, generate_task,

@@ -12,8 +12,8 @@ masks by largest-remainder rounding, so a feasible plan lands on
 round(P * total) exactly.  plan_check reports that simulation per group.
 
 Budget arithmetic needs only shapes and groups, never values, so the
-functions here accept either a ParamBundle or a ShapeTable; the latter
-makes full-size reference checks cheap.
+functions here take a ShapeTable (a model's is ModelConfig.shapes());
+that makes full-size reference checks cheap.
 """
 
 import math
@@ -50,7 +50,8 @@ class ShapeEntry:
 
 
 class ShapeTable:
-    """Shapes and group tags of a bundle; enough for budget arithmetic."""
+    """Shapes and group tags of a model's weights; enough for budget
+    arithmetic."""
 
     def __init__(self, entries):
         rows = []
@@ -71,19 +72,6 @@ class ShapeTable:
 
     def __len__(self):
         return len(self._entries)
-
-    @classmethod
-    def from_bundle(cls, bundle):
-        return cls(
-            (name, group, *matrix.shape)
-            for name, group, matrix in bundle.items()
-        )
-
-    @classmethod
-    def coerce(cls, source):
-        if isinstance(source, cls):
-            return source
-        return cls.from_bundle(source)
 
     def group_total(self, group=None):
         return sum(e.size for e in self._entries
@@ -155,7 +143,6 @@ class CompressionPlan:
 
 def implied_overall(shapes, p_embd, p_svd, p_weight):
     """Overall retained fraction implied by the three group fractions."""
-    shapes = ShapeTable.coerce(shapes)
     total = shapes.group_total()
     return (p_embd * shapes.group_total("embedding")
             + p_svd * p_weight * shapes.group_total("encoder")
@@ -177,7 +164,6 @@ def solve_budget(shapes, p_overall, p_embd, p_svd, delta=0.9):
     cover the untouched groups, or when rank-floored storage alone
     already exceeds it.
     """
-    shapes = ShapeTable.coerce(shapes)
     _check_fraction("p_overall", p_overall)
     _check_fraction("p_embd", p_embd)
     _check_fraction("p_svd", p_svd)
@@ -248,14 +234,7 @@ class Allocation:
     entries: tuple
     target_count: int
     retained_count: int
-    mask_fraction: float
     notes: tuple
-
-    def entry(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise InputError(f"no allocation entry named {name!r}")
 
 
 def _largest_remainder(budget, cells):
@@ -283,7 +262,6 @@ def allocate(shapes, plan):
     rounding, so the total retained count hits the target whenever it
     is reachable.
     """
-    shapes = ShapeTable.coerce(shapes)
     total = shapes.group_total()
     target = int(math.floor(plan.p_overall * total + 0.5))
     notes = list(plan.notes)
@@ -337,16 +315,13 @@ def allocate(shapes, plan):
         if mask_budget > 0:
             notes.append(f"no encoder factor storage; {mask_budget} params "
                          "of budget left unused")
-        mask_fraction = 1.0
     elif mask_budget >= storage:
         ones = list(unit_cells)
         if mask_budget > storage:
             notes.append(f"budget exceeds encoder factor storage by "
                          f"{mask_budget - storage} params; masks disabled")
-        mask_fraction = 1.0
     else:
         ones = _largest_remainder(mask_budget, unit_cells)
-        mask_fraction = mask_budget / storage
 
     for (idx, half), k in zip(unit_slots, ones):
         e = entries[idx]
@@ -358,8 +333,7 @@ def allocate(shapes, plan):
             entries[idx] = replace(e, ones=k)
 
     retained = sum(e.retained for e in entries)
-    return Allocation(tuple(entries), target, retained,
-                      mask_fraction, tuple(notes))
+    return Allocation(tuple(entries), target, retained, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -410,7 +384,6 @@ class PlanReport:
 
 def plan_check(shapes, plan):
     """Simulate the plan per matrix and report achieved vs. target."""
-    shapes = ShapeTable.coerce(shapes)
     total = shapes.group_total()
     try:
         alloc = allocate(shapes, plan)
@@ -448,7 +421,6 @@ def random_search(shapes, p_overall, trials, evaluator, seed=0, delta=0.9):
     p_weight is solved per sample.  Ties keep the earliest sample, so a
     constant evaluator returns the first feasible plan.
     """
-    shapes = ShapeTable.coerce(shapes)
     if trials < 1:
         raise RangeError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)

@@ -1,8 +1,9 @@
 """Command-line front end: plan, compress, distill, analyze, check.
 
-Model arguments take the path to a .bundle file; commands that need the
-architecture (compress, distill) expect the matching .config written by
-save_model next to it.  Exit codes: 0 success, 2 infeasible plan or
+Model arguments take the path to a .bundle file; every command but
+analyze bias loads the model, so it expects the matching .config
+written by save_model next to it, and plan and check budget over the
+config's architecture.  Exit codes: 0 success, 2 infeasible plan or
 out-of-range request, 3 numeric failure, 4 I/O or format error.
 """
 
@@ -31,21 +32,21 @@ def _model_base(bundle_path):
 
 
 def _cmd_plan(args):
-    bundle = load_bundle(args.bundle)
+    shapes = load_model(_model_base(args.bundle)).config.shapes()
     if args.search is not None:
         # no task is available at plan time, so the search scores
         # candidates by how close the allocation lands to the target
         def closeness(plan):
-            report = plan_check(bundle, plan)
+            report = plan_check(shapes, plan)
             return -abs(report.achieved_overall - args.target)
 
-        plan = random_search(bundle, args.target, args.search, closeness,
+        plan = random_search(shapes, args.target, args.search, closeness,
                              seed=args.seed, delta=args.delta)
     else:
-        plan = solve_budget(bundle, args.target, args.p_embd, args.p_svd,
+        plan = solve_budget(shapes, args.target, args.p_embd, args.p_svd,
                             delta=args.delta)
     save_plan(plan, args.out)
-    for line in plan_check(bundle, plan).lines():
+    for line in plan_check(shapes, plan).lines():
         print(line)
     print(f"plan written to {args.out}")
     return 0
@@ -127,9 +128,9 @@ def _cmd_analyze_bias(args):
 
 
 def _cmd_check(args):
-    bundle = load_bundle(args.bundle)
+    shapes = load_model(_model_base(args.bundle)).config.shapes()
     plan = load_plan(args.plan)
-    report = plan_check(bundle, plan)
+    report = plan_check(shapes, plan)
     for line in report.lines():
         print(line)
     return 0 if report.feasible else 2

@@ -7,8 +7,7 @@ objective is a weighted sum; zero-weight terms are skipped entirely.
 
 The soft cross entropy divides only the student logits by the
 temperature, leaving the teacher softmax untempered.  That asymmetry
-is deliberate and is invisible at the default t=1; set
-symmetric_temperature to temper both sides.
+is deliberate and is invisible at the default t=1.
 """
 
 from dataclasses import dataclass
@@ -26,7 +25,6 @@ class DistillConfig:
     hidden_weight: float = 1.0
     prediction_weight: float = 1.0
     temperature: float = 1.0
-    symmetric_temperature: bool = False
 
     def __post_init__(self):
         weights = (self.embedding_weight, self.attention_weight,
@@ -52,8 +50,7 @@ def _log_softmax(x):
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def prediction_loss(teacher_logits, student_logits, t=1.0,
-                    symmetric=False):
+def prediction_loss(teacher_logits, student_logits, t=1.0):
     """Soft cross entropy -softmax(teacher) . log softmax(student / t).
 
     1-D inputs are one example; 2-D inputs average over the batch.
@@ -65,19 +62,17 @@ def prediction_loss(teacher_logits, student_logits, t=1.0,
         raise ShapeError(f"logit shape mismatch {ft.shape} vs {fs.shape}")
     if ft.ndim == 1:
         ft, fs = ft[None, :], fs[None, :]
-    target = softmax(ft / t) if symmetric else softmax(ft)
-    per_row = -np.sum(target * _log_softmax(fs / t), axis=-1)
+    per_row = -np.sum(softmax(ft) * _log_softmax(fs / t), axis=-1)
     return float(per_row.mean())
 
 
 def total_distill_loss(teacher_trace, student_trace, cfg):
     """Weighted four-level loss; returns (total, per-term breakdown)."""
-    total, breakdown, _ = distill_injections(teacher_trace, student_trace,
-                                             cfg, want_grads=False)
+    total, breakdown, _ = distill_injections(teacher_trace, student_trace, cfg)
     return total, breakdown
 
 
-def distill_injections(teacher_trace, student_trace, cfg, want_grads=True):
+def distill_injections(teacher_trace, student_trace, cfg):
     """Loss, breakdown, and the upstream gradients for backward.
 
     The teacher trace is a constant; gradients are with respect to the
@@ -98,37 +93,30 @@ def distill_injections(teacher_trace, student_trace, cfg, want_grads=True):
     if cfg.embedding_weight > 0:
         s, t = student_trace.embedding_out, teacher_trace.embedding_out
         breakdown["embedding"] = cfg.embedding_weight * mse_loss(s, t)
-        if want_grads:
-            inj.embedding = cfg.embedding_weight * 2.0 * (s - t) / s.size
+        inj.embedding = cfg.embedding_weight * 2.0 * (s - t) / s.size
 
     if cfg.attention_weight > 0:
         grads = []
         for s, t in zip(student_trace.attention, teacher_trace.attention):
             breakdown["attention"] += cfg.attention_weight * mse_loss(s, t)
-            if want_grads:
-                grads.append(cfg.attention_weight * 2.0 * (s - t) / s.size)
-        if want_grads:
-            inj.attention = tuple(grads)
+            grads.append(cfg.attention_weight * 2.0 * (s - t) / s.size)
+        inj.attention = tuple(grads)
 
     if cfg.hidden_weight > 0:
         grads = []
         for s, t in zip(student_trace.hidden, teacher_trace.hidden):
             breakdown["hidden"] += cfg.hidden_weight * mse_loss(s, t)
-            if want_grads:
-                grads.append(cfg.hidden_weight * 2.0 * (s - t) / s.size)
-        if want_grads:
-            inj.hidden = tuple(grads)
+            grads.append(cfg.hidden_weight * 2.0 * (s - t) / s.size)
+        inj.hidden = tuple(grads)
 
     if cfg.prediction_weight > 0:
         ft, fs = teacher_trace.logits, student_trace.logits
         tmp = cfg.temperature
         breakdown["prediction"] = cfg.prediction_weight * prediction_loss(
-            ft, fs, tmp, symmetric=cfg.symmetric_temperature)
-        if want_grads:
-            target = softmax(ft / tmp) if cfg.symmetric_temperature else softmax(ft)
-            batch = fs.shape[0]
-            inj.logits = (cfg.prediction_weight / (batch * tmp)
-                          * (softmax(fs / tmp) - target))
+            ft, fs, tmp)
+        batch = fs.shape[0]
+        inj.logits = (cfg.prediction_weight / (batch * tmp)
+                      * (softmax(fs / tmp) - softmax(ft)))
 
     total = sum(breakdown.values())
     return total, breakdown, inj

@@ -33,11 +33,6 @@ class LowRankPair:
                 f"do not match rank {self.r}"
             )
 
-    @property
-    def shape(self):
-        """Shape of the reconstructed matrix."""
-        return (self.a.shape[0], self.b.shape[0])
-
 
 def rank_for_ratio(m, n, p_svd):
     """Rank whose factor pair retains at most fraction p_svd of m*n.

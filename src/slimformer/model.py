@@ -24,7 +24,7 @@ masked positions receiving exactly zero.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +72,36 @@ class ModelConfig:
 TOY_CONFIG = ModelConfig(vocab_size=64, embed_dim=32, num_layers=2,
                          num_heads=4, ffn_dim=64, max_seq_len=16,
                          num_classes=3)
+
+
+def truncated_config_for_budget(config, target_count):
+    """Smaller architecture of the same family whose parameter count
+    best matches the target; the pure-distillation baseline student."""
+
+    def count(d, heads, f):
+        return replace(config, embed_dim=d, num_heads=heads,
+                       ffn_dim=f).shapes().group_total()
+
+    best = None
+    for heads in (1, 2, 4):
+        for d in range(heads, config.embed_dim + 1, heads):
+            # the count is monotone in the ffn width; bisect to the target
+            lo, hi = 1, config.ffn_dim
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if count(d, heads, mid) < target_count:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            for f in (lo - 1, lo, lo + 1):
+                if not 1 <= f <= config.ffn_dim:
+                    continue
+                gap = abs(count(d, heads, f) - target_count)
+                if best is None or gap < best[0]:
+                    best = (gap, d, heads, f)
+    _, d, heads, f = best
+    return replace(config, embed_dim=d, num_heads=heads, ffn_dim=f)
+
 
 _CONFIG_KEYS = ("vocab_size", "embed_dim", "num_layers", "num_heads",
                 "ffn_dim", "max_seq_len", "num_classes")
@@ -259,13 +289,13 @@ class EncoderModel:
 
     # ---- bundle conversion -------------------------------------------
 
-    def to_bundle(self, include_masks=True):
+    def to_bundle(self):
         entries = []
         for e in self.config.shapes():
             for key in self.slots[e.name][1]:
                 # vectors are stored as 1 x n bundle rows
                 entries.append((key, e.group, np.atleast_2d(self.params[key])))
-                if include_masks and key in self.masks:
+                if key in self.masks:
                     entries.append((f"{key}.mask", e.group, self.masks[key]))
         return ParamBundle(entries)
 
@@ -514,7 +544,7 @@ def save_model(model, path_base):
     from .tensor import save_bundle
 
     base = str(path_base)
-    save_bundle(model.to_bundle(include_masks=True), base + ".bundle")
+    save_bundle(model.to_bundle(), base + ".bundle")
     save_config(model.config, base + ".config")
 
 
@@ -530,24 +560,27 @@ def load_model(path_base):
 class Adam:
     """Adaptive-moment optimizer with bias correction.
 
-    Masked entries keep gradient zero, so their moments never move; the
+    Only the learning rate is set per instance; the moment decay rates
+    and the denominator guard are the usual BETA1, BETA2 and EPS.  Masked
+    entries keep gradient zero, so their moments never move; the
     explicit re-mask after each step keeps them bit-exact zeros anyway.
     """
 
-    def __init__(self, lr=2e-5, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, lr=2e-5):
         if lr < 0:
             raise RangeError(f"learning rate must be non-negative, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v = {}
 
     def step(self, model, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         correction1 = 1.0 - b1 ** self.t
         correction2 = 1.0 - b2 ** self.t
         for key, g in grads.items():
@@ -561,7 +594,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            update = (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+            update = (m / correction1) / (np.sqrt(v / correction2) + self.EPS)
             self.params_step(model, key, update)
 
     def params_step(self, model, key, update):

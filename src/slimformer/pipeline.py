@@ -133,16 +133,17 @@ def one_shot_compress(teacher, plan):
     return student
 
 
-def run_pipeline(teacher, plan, task, distill_cfg=None,
-                 epochs_per_iteration=2, lr=2e-5, batch_size=32, seed=0):
+def run_pipeline(teacher, plan, task, epochs_per_iteration=2, lr=2e-5,
+                 batch_size=32, seed=0):
     """Iteratively compress and fine-tune a student of the teacher.
 
-    The teacher is only read.  A plan with p_overall = 1 returns a
+    Fine-tuning distils with the default DistillConfig (every term
+    weighted 1, temperature 1).  The teacher is only read.  A plan with p_overall = 1 returns a
     bit-identical copy of the teacher and no records.  Raises
     DivergenceError (with a state dump) when the fine-tuning loss goes
     non-finite or grows tenfold over its minimum within an iteration.
     """
-    cfg = distill_cfg if distill_cfg is not None else DistillConfig()
+    cfg = DistillConfig()
     student = teacher.copy()
     total = sum(e.size for e in teacher.config.shapes())
     rng = np.random.default_rng(seed)
@@ -235,40 +236,3 @@ def record_curve(records):
                          repr(r.val_accuracy)])
     return out.getvalue()
 
-
-def truncated_config_for_budget(config, target_count):
-    """Smaller architecture of the same family whose parameter count
-    best matches the target; the pure-distillation baseline student."""
-    from .model import ModelConfig
-
-    best = None
-    for heads in (1, 2, 4):
-        for d in range(heads, config.embed_dim + 1, heads):
-            # the count is monotone in the ffn width; bisect to the target
-            lo, hi = 1, config.ffn_dim
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _config_count(config, d, heads, mid) < target_count:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            for f in (lo - 1, lo, lo + 1):
-                if not 1 <= f <= config.ffn_dim:
-                    continue
-                count = _config_count(config, d, heads, f)
-                gap = abs(count - target_count)
-                if best is None or gap < best[0]:
-                    best = (gap, d, heads, f, count)
-    _, d, heads, f, _ = best
-    return ModelConfig(config.vocab_size, d, config.num_layers, heads, f,
-                       config.max_seq_len, config.num_classes)
-
-
-def _config_count(config, d, heads, f):
-    from .budget import transformer_shapes
-
-    if f < 1:
-        return 0
-    table = transformer_shapes(config.vocab_size, d, config.num_layers, f,
-                               config.max_seq_len, config.num_classes)
-    return table.group_total()

@@ -42,7 +42,7 @@ class SvdResult:
         return (self.u * self.singular_values) @ self.v.T
 
 
-def svd(w: np.ndarray, max_sweeps: int = SWEEP_CAP) -> SvdResult:
+def svd(w: np.ndarray) -> SvdResult:
     """Full singular value decomposition of a 2-D float64 array.
 
     Deterministic for a fixed input; U and V are C-contiguous.  Raises
@@ -50,9 +50,9 @@ def svd(w: np.ndarray, max_sweeps: int = SWEEP_CAP) -> SvdResult:
     cap is hit.
     """
     if w.shape[0] >= w.shape[1]:
-        u, s, v = _jacobi(w, max_sweeps)
+        u, s, v = _jacobi(w)
     else:
-        v, s, u = _jacobi(w.T, max_sweeps)
+        v, s, u = _jacobi(w.T)
     u, v = _fix_signs(u, v)
     return SvdResult(np.ascontiguousarray(u), s, np.ascontiguousarray(v))
 
@@ -74,16 +74,16 @@ def _check_rank(s: SvdResult, r: int) -> None:
         raise RangeError(f"rank {r} outside valid range [1, {s.p}]")
 
 
-def _jacobi(a: np.ndarray, max_sweeps: int):
+def _jacobi(a: np.ndarray):
     """One-sided Jacobi on a tall (m >= n) matrix; returns U (m x n), s, V (n x n)."""
     m, n = a.shape
     w = np.array(a, dtype=np.float64, order="F", copy=True)
     v = np.eye(n, order="F")
 
     if n > 1:
-        residual = _sweep_to_convergence(w, v, max_sweeps)
+        residual = _sweep_to_convergence(w, v)
         if residual >= COHERENCE_TOL:
-            raise SvdConvergenceError(residual, max_sweeps)
+            raise SvdConvergenceError(residual, SWEEP_CAP)
 
     s = np.sqrt(np.einsum("ij,ij->j", w, w))
     order = np.argsort(-s, kind="stable")
@@ -102,11 +102,11 @@ def _jacobi(a: np.ndarray, max_sweeps: int):
     return u, s, v
 
 
-def _sweep_to_convergence(w, v, max_sweeps) -> float:
+def _sweep_to_convergence(w, v) -> float:
     n = w.shape[1]
     schedule = _round_robin(n)
     residual = np.inf
-    for _ in range(max_sweeps):
+    for _ in range(SWEEP_CAP):
         residual = 0.0
         for ps, qs in schedule:
             wp = w[:, ps]
@@ -159,22 +159,9 @@ def _round_robin(n: int):
 
 def _complete_columns(u: np.ndarray, kept: np.ndarray) -> None:
     """Fill non-kept columns with unit vectors orthogonal to all others (in place)."""
-    m = u.shape[0]
-    basis = [u[:, j] for j in np.flatnonzero(kept)]
-    for j in np.flatnonzero(~kept):
-        for i in range(m):
-            cand = np.zeros(m)
-            cand[i] = 1.0
-            for b in basis:  # two Gram-Schmidt passes for stability
-                cand -= (b @ cand) * b
-            for b in basis:
-                cand -= (b @ cand) * b
-            norm = np.linalg.norm(cand)
-            if norm > 0.5:
-                col = cand / norm
-                u[:, j] = col
-                basis.append(col)
-                break
+    k = int(kept.sum())  # kept columns lead: singular values are sorted
+    q = np.linalg.qr(u[:, :k], mode="complete")[0]
+    u[:, k:] = q[:, k:u.shape[1]]
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray):

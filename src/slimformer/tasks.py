@@ -15,6 +15,10 @@ import numpy as np
 from .errors import RangeError
 from .model import Adam, GradInjections, softmax
 
+# evaluate forwards at most this many sequences at once; that bounds the
+# activations held and is no slower than one forward over the toy split
+EVAL_BATCH = 128
+
 
 @dataclass(frozen=True)
 class TaskConfig:
@@ -91,14 +95,14 @@ def cross_entropy(logits, labels):
     return loss, dlogits / n
 
 
-def evaluate(model, tokens, labels, batch_size=128):
+def evaluate(model, tokens, labels):
     """Fraction of sequences whose argmax logit matches the label."""
     hits = 0
-    for start in range(0, len(tokens), batch_size):
-        chunk = tokens[start:start + batch_size]
+    for start in range(0, len(tokens), EVAL_BATCH):
+        chunk = tokens[start:start + EVAL_BATCH]
         trace = model.forward(chunk)
         hits += int((np.argmax(trace.logits, axis=1)
-                     == labels[start:start + batch_size]).sum())
+                     == labels[start:start + EVAL_BATCH]).sum())
     return hits / len(tokens)
 
 

@@ -16,14 +16,15 @@ Bundle files are a text manifest followed by one concatenated binary blob:
     <raw little-endian float64 values, row-major, in entry order>
 
 Entries are packed back to back: each offset is the summed size of the
-entries before it, and the blob is exactly their total.  The manifest is
-ASCII and diffable; the blob is bit-exact on round trip.
+entries before it, the blob is exactly their total, and the file ends
+with the blob.  The manifest is ASCII and diffable; the blob is
+bit-exact on round trip.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -75,9 +76,6 @@ class ParamBundle:
     def names(self) -> list[str]:
         return list(self._entries)
 
-    def group_of(self, name: str) -> str:
-        return self._entries[name][0]
-
     def matrix(self, name: str) -> np.ndarray:
         return self._entries[name][1]
 
@@ -93,7 +91,8 @@ class ParamBundle:
         ]
 
     def __repr__(self):
-        return f"ParamBundle({len(self._entries)} entries, {param_count(self)} params)"
+        params = sum(m.size for _, m in self._entries.values())
+        return f"ParamBundle({len(self._entries)} entries, {params} params)"
 
 
 def _frozen_copy(name: str, values) -> np.ndarray:
@@ -105,11 +104,6 @@ def _frozen_copy(name: str, values) -> np.ndarray:
         raise NonFiniteError(f"entry {name!r} holds NaN or infinite values")
     a.flags.writeable = False
     return a
-
-
-def param_count(bundle: ParamBundle, group: Optional[str] = None) -> int:
-    """Total element count over entries matching the group filter."""
-    return sum(m.size for _, g, m in bundle.items() if group in (None, g))
 
 
 def save_bundle(bundle: ParamBundle, path) -> None:
@@ -146,6 +140,10 @@ def load_bundle(path) -> ParamBundle:
     if len(blob) < declared:
         raise TruncatedBlobError(
             f"manifest declares a {declared}-byte blob but only {len(blob)} bytes follow"
+        )
+    if len(blob) > declared:
+        raise MalformedManifestError(
+            f"manifest declares a {declared}-byte blob but {len(blob)} bytes follow"
         )
 
     entries = []

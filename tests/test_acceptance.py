@@ -20,9 +20,9 @@ from slimformer.distill import (DistillConfig, distill_injections,
                                 total_distill_loss)
 from slimformer.factorize import factor_ratio, rank_for_ratio
 from slimformer.hybrid import hybrid_ratio
-from slimformer.model import (TOY_CONFIG, Adam, GradInjections, init_model)
-from slimformer.pipeline import (one_shot_compress, run_pipeline,
-                                 truncated_config_for_budget)
+from slimformer.model import (TOY_CONFIG, Adam, GradInjections, init_model,
+                              truncated_config_for_budget)
+from slimformer.pipeline import one_shot_compress, run_pipeline
 from slimformer.svd import svd, truncate, truncation_error
 from slimformer.tasks import (TaskConfig, evaluate, generate_task,
                               train_classifier)

@@ -61,6 +61,11 @@ def aliasing_offset(data):
     return "\n".join(lines).encode("ascii") + blob
 
 
+def trailing_bytes(data):
+    """Bytes appended after the declared blob."""
+    return data + b"junk"
+
+
 class TestPlan:
     def test_manual_fractions(self, tmp_path, teacher_path, capsys):
         out = tmp_path / "plan.txt"
@@ -135,8 +140,10 @@ class TestCompress:
         {"enc0.attn.wq.mask": np.full((32, 32), 0.5)},
         nan_payload,
         aliasing_offset,
+        trailing_bytes,
     ], ids=["unclaimed-key", "dense-and-factored", "wrong-shape",
-            "non-binary-mask", "nan-payload", "aliasing-offset"])
+            "non-binary-mask", "nan-payload", "aliasing-offset",
+            "trailing-bytes"])
     def test_bad_bundle(self, tmp_path, edit, capsys):
         """The teacher's bundle with entries added or replaced, or its
         saved bytes edited; a file the loader rejects also fails check."""
@@ -249,6 +256,25 @@ class TestCheck:
         code = main(["check", "--bundle", teacher_path, "--plan", plan])
         assert code == 2
         assert "INFEASIBLE" in capsys.readouterr().out
+
+    def test_compressed_student_counts_architecture(self, tmp_path,
+                                                    teacher_path, capsys):
+        """A compressed bundle's factor halves and masks are not
+        parameters of the architecture the plan budgets over."""
+        plan = write_plan(tmp_path)
+        student = tmp_path / "student"
+        assert main(["compress", "--bundle", teacher_path, "--plan", plan,
+                     "--out", str(student)]) == 0
+        capsys.readouterr()
+        code = main(["check", "--bundle", f"{student}.bundle",
+                     "--plan", plan])
+        assert code == 0
+        assert "total params        19747" in capsys.readouterr().out
+        code = main(["plan", "--bundle", f"{student}.bundle",
+                     "--target", "0.4", "--p-embd", "0.55", "--p-svd", "0.45",
+                     "--out", str(tmp_path / "again.txt")])
+        assert code == 0
+        assert "total params        19747" in capsys.readouterr().out
 
     def test_missing_plan(self, tmp_path, teacher_path):
         code = main(["check", "--bundle", teacher_path,

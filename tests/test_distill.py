@@ -83,14 +83,6 @@ class TestPredictionLoss:
         assert prediction_loss(t, s, t=2.0) == pytest.approx(
             float(-np.sum(target * logp)), abs=1e-12)
 
-    def test_symmetric_variant_tempers_teacher(self):
-        t = np.array([2.0, 0.0])
-        s = np.array([4.0, 0.0])
-        asym = prediction_loss(t, s, t=2.0)
-        sym = prediction_loss(t, s, t=2.0, symmetric=True)
-        assert asym != pytest.approx(sym, abs=1e-9)
-        assert sym == pytest.approx(prediction_loss(t / 2.0, s, t=2.0), abs=1e-12)
-
     def test_batch_is_mean_over_rows(self):
         t = np.array([[0.0, 0.0], [3.0, -1.0]])
         s = np.array([[1.0, 2.0], [0.0, 0.5]])
@@ -236,10 +228,6 @@ class TestDistillGradients:
     def test_fd_tempered(self):
         cfg = DistillConfig(temperature=2.0)
         assert self.fd_through_total(cfg, 31) < 1e-4
-
-    def test_fd_symmetric_tempered(self):
-        cfg = DistillConfig(temperature=3.0, symmetric_temperature=True)
-        assert self.fd_through_total(cfg, 32) < 1e-4
 
     def test_fd_single_terms(self):
         for kw in ("embedding_weight", "attention_weight",

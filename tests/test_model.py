@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from slimformer.budget import transformer_shapes
 from slimformer.errors import (BundleFormatError, ExpansionWarning,
                                InputError, RangeError)
 from slimformer.factorize import factorize_layer
@@ -32,6 +33,7 @@ from slimformer.model import (
     save_config,
     save_model,
     softmax,
+    truncated_config_for_budget,
 )
 
 FD_STEP = 1e-5
@@ -145,6 +147,24 @@ class TestConfig:
         path.write_text("vocab_size=64\n")
         with pytest.raises(InputError):
             load_config(path)  # missing keys
+
+
+class TestTruncatedConfig:
+    def test_close_to_target(self):
+        cfg = truncated_config_for_budget(TOY_CONFIG, 7899)
+        count = transformer_shapes(cfg.vocab_size, cfg.embed_dim,
+                                   cfg.num_layers, cfg.ffn_dim,
+                                   cfg.max_seq_len,
+                                   cfg.num_classes).group_total()
+        assert abs(count - 7899) <= 60
+        assert cfg.embed_dim % cfg.num_heads == 0
+        assert cfg.embed_dim <= TOY_CONFIG.embed_dim
+
+    def test_valid_model(self):
+        cfg = truncated_config_for_budget(TOY_CONFIG, 5000)
+        model = init_model(cfg, seed=0)
+        trace = model.forward(np.zeros((2, 4), dtype=np.int64))
+        assert trace.logits.shape == (2, 3)
 
 
 class TestForward:
@@ -427,10 +447,10 @@ class TestBundleRoundTrip:
 
     def test_bundle_groups(self):
         model = init_model(TOY_CONFIG, seed=16)
-        bundle = model.to_bundle()
-        assert bundle.group_of("tok_embed") == "embedding"
-        assert bundle.group_of("enc0.attn.wq") == "encoder"
-        assert bundle.group_of("cls.w") == "classifier"
+        group_of = {name: group for name, group, _ in model.to_bundle().items()}
+        assert group_of["tok_embed"] == "embedding"
+        assert group_of["enc0.attn.wq"] == "encoder"
+        assert group_of["cls.w"] == "classifier"
 
 
 @functools.cache

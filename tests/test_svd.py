@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -139,9 +141,12 @@ def test_eckart_young_against_random_factor_oracle():
             assert err <= rand_err + 1e-8
 
 
-def test_convergence_error_reports_residual():
+def test_convergence_error_reports_residual(monkeypatch):
+    # the package attribute slimformer.svd is the function, not the module
+    monkeypatch.setattr(sys.modules["slimformer.svd"], "SWEEP_CAP", 1)
     rng = np.random.default_rng(9)
     w = rng.normal(size=(8, 8))
     with pytest.raises(SvdConvergenceError) as exc:
-        svd(w, max_sweeps=1)
+        svd(w)
     assert exc.value.residual > 0.0
+    assert exc.value.sweeps == 1

@@ -11,12 +11,8 @@ from slimformer.errors import (
     ShapeError,
     TruncatedBlobError,
 )
-from slimformer.tensor import (
-    ParamBundle,
-    load_bundle,
-    param_count,
-    save_bundle,
-)
+from slimformer.budget import ShapeTable
+from slimformer.tensor import GROUPS, ParamBundle, load_bundle, save_bundle
 
 
 def _one(values):
@@ -54,25 +50,14 @@ def _toy_bundle():
     )
 
 
-def test_param_count_by_group():
-    b = _toy_bundle()
-    assert param_count(b) == 6 + 20 + 2
-    assert param_count(b, "encoder") == 20
-    assert param_count(b, "embedding") == 6
-    assert param_count(ParamBundle(), "classifier") == 0
-    one = ParamBundle([("w", "encoder", np.ones((4, 5)))])
-    assert param_count(one, "encoder") == 20
-    assert param_count(one, "classifier") == 0
-
-
 def test_group_counts_sum_to_total():
     rng = np.random.default_rng(3)
     entries = []
     for i in range(9):
         g = ["embedding", "encoder", "classifier"][i % 3]
         entries.append((f"m{i}", g, rng.normal(size=(i + 1, 2))))
-    b = ParamBundle(entries)
-    assert sum(param_count(b, g) for g in ("embedding", "encoder", "classifier")) == param_count(b)
+    table = ShapeTable((n, g, *m.shape) for n, g, m in ParamBundle(entries).items())
+    assert sum(table.group_total(g) for g in GROUPS) == table.group_total()
 
 
 def test_bundle_rejects_bad_names_and_groups():
@@ -137,6 +122,14 @@ def test_load_checksum_mismatch(tmp_path):
     data[-1] ^= 0xFF  # corrupt the blob, keep the manifest
     path.write_bytes(bytes(data))
     with pytest.raises(ChecksumError):
+        load_bundle(path)
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "tail.bundle"
+    save_bundle(_toy_bundle(), path)
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(MalformedManifestError):
         load_bundle(path)
 
 
