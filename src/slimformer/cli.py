@@ -1,10 +1,11 @@
 """Command-line front end: plan, compress, distill, analyze, check.
 
-Model arguments take the path to a .bundle file; every command but
-analyze bias loads the model, so it expects the matching .config
-written by save_model next to it, and plan and check budget over the
-config's architecture.  Exit codes: 0 success, 2 infeasible plan or
-out-of-range request, 3 numeric failure, 4 I/O or format error.
+Model arguments take the path to a .bundle file; every command loads
+the model, so it expects the matching .config written by save_model
+next to it.  plan and check budget over the config's architecture, and
+analyze bias studies each slot's effective weight.  Exit codes: 0
+success, 2 infeasible plan or out-of-range request, 3 numeric failure,
+4 I/O or format error.
 """
 
 import argparse
@@ -23,7 +24,6 @@ from .errors import BundleFormatError, DivergenceError, \
 from .model import load_model, save_model
 from .pipeline import one_shot_compress, record_curve, run_pipeline
 from .tasks import TaskConfig, generate_task, train_classifier
-from .tensor import load_bundle
 
 
 def _model_base(bundle_path):
@@ -102,17 +102,16 @@ def _cmd_distill(args):
 
 
 def _cmd_analyze_bias(args):
-    bundle = load_bundle(args.bundle)
+    model = load_model(_model_base(args.bundle))
     split = None
     if args.prune_fraction is not None:
         split = (args.retain / args.prune_fraction, args.prune_fraction)
     pooled = []
-    for name in bundle.names():
-        if name.endswith(".mask"):
+    for e in model.config.shapes():
+        if e.is_vector or min(e.rows, e.cols) < 2:
             continue
-        w = bundle.matrix(name)
-        if min(w.shape) < 2:
-            continue
+        # a compressed slot is analysed as the weight it computes with
+        w = model.effective_weight(e.name)
         compressed = compressed_matrix(w, args.mode, args.retain, split=split)
         pooled.append(bias_matrix(w, compressed).ravel())
     if not pooled:

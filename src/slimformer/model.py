@@ -15,12 +15,17 @@ checked when a model is built; their values (finite entries) are checked
 where they enter as a bundle, by ParamBundle and load_bundle.
 
 forward exposes a trace at the four supervision points (embedding
-output, per-layer attention maps, per-layer hidden states, logits);
-with with_cache=True it also returns the per-layer activations that
-backward needs, and otherwise drops each layer's as soon as the next
-one starts.  backward accepts upstream gradients injected at any subset
-of those points and returns exact gradients for every parameter, with
-masked positions receiving exactly zero.
+output, per-layer attention maps, per-layer hidden states, logits).  It
+runs each layer as an attention block and an FFN block; a block's
+temporaries die when it returns, and bias adds, residual adds, softmax,
+layer norm and GELU work in place in as few buffers as the arithmetic
+allows, in the same operation order.  With with_cache=True it also
+returns each layer's activations that backward needs; otherwise it
+holds the trace plus the block in flight, whose peak is the GELU (its
+input, its output and one temporary, each b x n x ffn).  backward
+accepts upstream gradients injected at any subset of those points and
+returns exact gradients for every parameter, with masked positions
+receiving exactly zero.
 """
 
 import math
@@ -155,7 +160,12 @@ class GradInjections:
 
 
 def gelu(x):
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    # 0.5 * x * (1 + erf(x / sqrt 2)) in one output buffer
+    y = x / math.sqrt(2.0)
+    erf(y, out=y)
+    y += 1.0
+    y *= 0.5 * x
+    return y
 
 
 def gelu_grad(x):
@@ -165,17 +175,24 @@ def gelu_grad(x):
 
 
 def softmax(x):
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def _ln_forward(x, gamma, beta):
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xhat = x - mu
+    # the variance as x.var computes it, squaring in the output buffer
+    y = np.square(xhat)
+    var = y.sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv_std
-    return gamma * xhat + beta, (xhat, inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, gamma, out=y)
+    y += beta
+    return y, (xhat, inv_std)
 
 
 def _ln_backward(dy, gamma, cache):
@@ -380,46 +397,68 @@ class EncoderModel:
         grads[slot] += _flat(x).T @ _flat(dy)
         return dy @ self.params[slot].T
 
+    def _attention_block(self, p, x, lc):
+        """Self-attention sublayer of layer p: (ln1 output, attention map).
+
+        lc receives what backward needs; every other temporary dies on
+        return.
+        """
+        q = self._slot_forward(f"{p}.attn.wq", x, lc)
+        q += self.params[f"{p}.attn.bq"]
+        k = self._slot_forward(f"{p}.attn.wk", x, lc)
+        k += self.params[f"{p}.attn.bk"]
+        v = self._slot_forward(f"{p}.attn.wv", x, lc)
+        v += self.params[f"{p}.attn.bv"]
+        qh, kh, vh = (self._split_heads(t) for t in (q, k, v))
+        scores = qh @ kh.swapaxes(-1, -2)
+        scores *= 1.0 / math.sqrt(self.config.head_dim)
+        probs = softmax(scores)
+        ctx = self._merge_heads(probs @ vh)
+        u = self._slot_forward(f"{p}.attn.wo", ctx, lc)
+        u += self.params[f"{p}.attn.bo"]
+        u += x
+        x1, ln1_cache = _ln_forward(u, self.params[f"{p}.ln1.gamma"],
+                                    self.params[f"{p}.ln1.beta"])
+        lc.update(x_in=x, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx,
+                  ln1=ln1_cache, x1=x1)
+        return x1, probs
+
+    def _ffn_block(self, p, x1, lc):
+        """Feed-forward sublayer of layer p: its ln2 output."""
+        f_pre = self._slot_forward(f"{p}.ffn.w1", x1, lc)
+        f_pre += self.params[f"{p}.ffn.b1"]
+        f_act = gelu(f_pre)
+        g = self._slot_forward(f"{p}.ffn.w2", f_act, lc)
+        g += self.params[f"{p}.ffn.b2"]
+        g += x1
+        x, ln2_cache = _ln_forward(g, self.params[f"{p}.ln2.gamma"],
+                                   self.params[f"{p}.ln2.beta"])
+        lc.update(f_pre=f_pre, f_act=f_act, ln2=ln2_cache)
+        return x
+
     def forward(self, tokens, with_cache=False):
         tokens = self._check_tokens(tokens)
-        cfg = self.config
         cache = {"tokens": tokens, "layers": []}
         x = self._embed(tokens, cache)
         embedding_out = x
-        scale = 1.0 / math.sqrt(cfg.head_dim)
 
         attention = []
         hidden = []
-        for i in range(cfg.num_layers):
-            p = f"enc{i}"
-            lc = {"x_in": x}
-            q = self._slot_forward(f"{p}.attn.wq", x, lc) + self.params[f"{p}.attn.bq"]
-            k = self._slot_forward(f"{p}.attn.wk", x, lc) + self.params[f"{p}.attn.bk"]
-            v = self._slot_forward(f"{p}.attn.wv", x, lc) + self.params[f"{p}.attn.bv"]
-            qh, kh, vh = (self._split_heads(t) for t in (q, k, v))
-            scores = (qh @ kh.swapaxes(-1, -2)) * scale
-            probs = softmax(scores)
-            ctx = self._merge_heads(probs @ vh)
-            lc.update(qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx)
-            out = self._slot_forward(f"{p}.attn.wo", ctx, lc) + self.params[f"{p}.attn.bo"]
-            u = x + out
-            x1, ln1_cache = _ln_forward(u, self.params[f"{p}.ln1.gamma"],
-                                        self.params[f"{p}.ln1.beta"])
-            f_pre = self._slot_forward(f"{p}.ffn.w1", x1, lc) + self.params[f"{p}.ffn.b1"]
-            f_act = gelu(f_pre)
-            g = self._slot_forward(f"{p}.ffn.w2", f_act, lc) + self.params[f"{p}.ffn.b2"]
-            w = x1 + g
-            x, ln2_cache = _ln_forward(w, self.params[f"{p}.ln2.gamma"],
-                                       self.params[f"{p}.ln2.beta"])
-            lc.update(ln1=ln1_cache, ln2=ln2_cache, x1=x1,
-                      f_pre=f_pre, f_act=f_act)
+        for i in range(self.config.num_layers):
+            lc = {}
+            x1, probs = self._attention_block(f"enc{i}", x, lc)
             if with_cache:
                 cache["layers"].append(lc)
+            else:
+                # the attention block's activations die before the FFN runs
+                lc = {}
+            x = self._ffn_block(f"enc{i}", x1, lc)
             attention.append(probs)
             hidden.append(x)
 
         pooled = x.mean(axis=1)
-        logits = pooled @ self.params["cls.w"] + self.params["cls.b"]
+        logits = pooled @ self.params["cls.w"]
+        logits += self.params["cls.b"]
         if not np.all(np.isfinite(logits)):
             raise NonFiniteError("logits are not finite")
         cache["pooled"] = pooled

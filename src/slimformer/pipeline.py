@@ -49,7 +49,6 @@ class ScheduleState:
     budget_fraction: float
     retained_fraction: float
     group_fractions: dict
-    student_bundle: object
     records: tuple
     notes: tuple
 
@@ -191,7 +190,6 @@ def run_pipeline(teacher, plan, task, epochs_per_iteration=2, lr=2e-5,
             budget_fraction=budget,
             retained_fraction=student.retained_count() / total,
             group_fractions={g: live[g] / group_totals[g] for g in live},
-            student_bundle=student.to_bundle(),
             records=tuple(iter_records),
             notes=alloc.notes,
         ))

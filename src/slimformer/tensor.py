@@ -67,12 +67,6 @@ class ParamBundle:
             seen[name] = (group, _frozen_copy(name, matrix))
         self._entries = seen
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def names(self) -> list[str]:
         return list(self._entries)
 

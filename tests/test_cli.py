@@ -228,6 +228,24 @@ class TestAnalyzeBias:
         assert code == 0
         capsys.readouterr()
 
+    def test_compressed_student_uses_effective_weights(self, tmp_path,
+                                                       teacher_path, capsys):
+        """A compressed slot is analysed as its effective weight, over
+        the teacher's cells, not as factor halves."""
+        plan = write_plan(tmp_path)
+        student = tmp_path / "student"
+        assert main(["compress", "--bundle", teacher_path, "--plan", plan,
+                     "--out", str(student)]) == 0
+        capsys.readouterr()
+        code = main(["analyze", "bias", "--bundle", f"{student}.bundle",
+                     "--mode", "prune", "--retain", "0.5"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        counted = sum(int(r[2]) for r in rows[1:-1])
+        assert counted == self.expected_cells(teacher_path)
+        kinds = {kind for kind, _ in load_model(student).slots.values()}
+        assert "factored" in kinds
+
     def test_retain_out_of_range(self, teacher_path, capsys):
         code = main(["analyze", "bias", "--bundle", teacher_path,
                      "--mode", "prune", "--retain", "1.5"])

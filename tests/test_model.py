@@ -8,6 +8,7 @@ invariant) without masking anything above 1e-10 absolute.
 """
 
 import functools
+import math
 import os
 import tempfile
 import tracemalloc
@@ -16,17 +17,21 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.special import erf
 
 from slimformer.budget import transformer_shapes
 from slimformer.errors import (BundleFormatError, ExpansionWarning,
                                InputError, RangeError)
 from slimformer.factorize import factorize_layer
 from slimformer.model import (
+    LN_EPS,
     TOY_CONFIG,
     Adam,
     EncoderModel,
     GradInjections,
     ModelConfig,
+    _ln_forward,
+    gelu,
     init_model,
     load_config,
     load_model,
@@ -55,6 +60,46 @@ FACTORABLE_SLOTS = [e.name for e in small_config().shapes()
 def rand_tokens(rng, config, batch=3, length=None):
     length = length or config.max_seq_len
     return rng.integers(0, config.vocab_size, size=(batch, length))
+
+
+SLOT_KINDS = ("dense", "masked", "factored", "masked-factored")
+
+
+def slot_kind_model(cfg, kind, seed, rank=4):
+    """A model whose every factorable slot is of one kind; the classifier
+    is masked for the masked kinds."""
+    rng = np.random.default_rng(seed)
+    params = dict(init_model(cfg, seed=seed).params)
+    masks = {}
+    for e in cfg.shapes():
+        if e.is_vector or kind == "dense":
+            continue
+        keys = [e.name]
+        if kind.endswith("factored") and e.group != "classifier":
+            del params[e.name]
+            keys = [f"{e.name}.a", f"{e.name}.b"]
+            params[keys[0]] = rng.normal(0.0, 0.2, size=(e.rows, rank))
+            params[keys[1]] = rng.normal(0.0, 0.2, size=(e.cols, rank))
+        if kind.startswith("masked"):
+            for key in keys:
+                masks[key] = (rng.random(params[key].shape) > 0.4).astype(float)
+    return EncoderModel(cfg, params, masks)
+
+
+def forward_peak(model, tokens, with_cache):
+    """(tracemalloc peak in bytes, result) of one forward."""
+    tracemalloc.start()
+    try:
+        out = model.forward(tokens, with_cache=with_cache)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def trace_bytes(trace):
+    arrays = (trace.embedding_out, *trace.attention, *trace.hidden,
+              trace.logits)
+    return [(a.shape, a.tobytes()) for a in arrays]
 
 
 def trace_loss_coeffs(model, tokens, seed):
@@ -254,23 +299,48 @@ class TestForward:
         assert np.array_equal(one.logits, two.logits)
 
     def test_cache_off_lowers_peak_memory(self):
-        # without with_cache, a layer's activations are freed once the
-        # next layer starts instead of being kept for backward
-        model = init_model(TOY_CONFIG, seed=0)
+        # without with_cache, a layer's activations die with the layer
+        # instead of being kept for backward; the trace is the same bytes
         tokens = rand_tokens(np.random.default_rng(6), TOY_CONFIG, batch=64)
+        for kind in SLOT_KINDS:
+            model = slot_kind_model(TOY_CONFIG, kind, seed=0)
+            off, trace = forward_peak(model, tokens, with_cache=False)
+            on, (cached, _) = forward_peak(model, tokens, with_cache=True)
+            assert trace_bytes(trace) == trace_bytes(cached), kind
+            assert off < on, kind
 
-        def peak(with_cache):
-            tracemalloc.start()
-            try:
-                out = model.forward(tokens, with_cache=with_cache)
-                return tracemalloc.get_traced_memory()[1], out
-            finally:
-                tracemalloc.stop()
+    def test_kernels_match_reference_formulas(self):
+        """The buffer-reusing kernels give the bytes of the plain
+        formulas and leave their input untouched."""
+        rng = np.random.default_rng(8)
+        x = rng.normal(0.0, 3.0, size=(4, 3, 16, 32))
+        before = x.copy()
+        shifted = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        assert np.array_equal(
+            softmax(x), shifted / np.sum(shifted, axis=-1, keepdims=True))
+        assert np.array_equal(
+            gelu(x), 0.5 * x * (1.0 + erf(x / math.sqrt(2.0))))
+        gamma, beta = rng.normal(size=32), rng.normal(size=32)
+        mu = x.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
+        xhat = (x - mu) * inv_std
+        y, (got_xhat, got_inv_std) = _ln_forward(x, gamma, beta)
+        assert np.array_equal(y, gamma * xhat + beta)
+        assert np.array_equal(got_xhat, xhat)
+        assert np.array_equal(got_inv_std, inv_std)
+        assert np.array_equal(x, before)
 
-        off, trace = peak(False)
-        on, (cached, _) = peak(True)
-        assert np.array_equal(trace.logits, cached.logits)
-        assert off < on
+    def test_peak_memory_bound(self):
+        """A no-cache forward holds at most 6.5 ffn activations
+        (b * n * ffn float64s) at its peak, the trace included."""
+        cfg = ModelConfig(vocab_size=64, embed_dim=64, num_layers=2,
+                          num_heads=4, ffn_dim=256, max_seq_len=16,
+                          num_classes=3)
+        model = init_model(cfg, seed=0)
+        tokens = rand_tokens(np.random.default_rng(7), cfg, batch=64)
+        peak, _ = forward_peak(model, tokens, with_cache=False)
+        activation = tokens.size * cfg.ffn_dim * 8
+        assert peak <= 6.5 * activation
 
 
 class TestBackward:

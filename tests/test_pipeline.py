@@ -203,7 +203,7 @@ class TestRunPipeline:
         steps = [r.step for r in result.records]
         assert steps == list(range(len(steps)))
 
-    def test_states_carry_bundles_and_records(self):
+    def test_states_carry_records(self):
         teacher = init_model(TOY_CONFIG, seed=14)
         result = run_pipeline(teacher, toy_plan(delta=0.7), small_task(),
                               epochs_per_iteration=1, seed=6)
@@ -211,7 +211,6 @@ class TestRunPipeline:
         total_rows = sum(len(s.records) for s in result.states)
         assert total_rows == len(result.records)
         for state in result.states:
-            assert state.student_bundle is not None
             assert 0.0 < state.group_fractions["encoder"] <= 1.0
             assert state.group_fractions["classifier"] == 1.0
 
