@@ -8,8 +8,7 @@ in the method can be checked exactly.
 """
 
 from .analysis import (bias_histogram, bias_matrix, bias_study,
-                       compare_curves, comparison_csv, compressed_matrix,
-                       gaussian_testbed, histogram_csv)
+                       compressed_matrix, gaussian_testbed, histogram_csv)
 from .budget import (CompressionPlan, allocate, implied_overall, load_plan,
                      plan_check, plan_from_fractions, random_search,
                      save_plan, solve_budget, transformer_shapes)

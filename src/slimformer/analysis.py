@@ -1,4 +1,4 @@
-"""One-shot compression bias distributions and learning-curve summaries.
+"""One-shot compression bias distributions.
 
 The bias of a compression scheme is the elementwise difference between
 the compressed realization of a weight matrix and the original.  The
@@ -132,74 +132,4 @@ def histogram_csv(hist):
                                   hist.counts):
         writer.writerow((repr(float(left)), repr(float(right)), int(count)))
     writer.writerow(("stats", repr(hist.mean), repr(hist.std)))
-    return out.getvalue()
-
-
-DEFAULT_THRESHOLDS = tuple(round(0.1 * k, 1) for k in range(1, 10))
-
-
-@dataclass(frozen=True)
-class CurveComparison:
-    metric: str
-    thresholds: tuple
-    first_steps_a: tuple
-    first_steps_b: tuple
-    final_a: float
-    final_b: float
-
-
-def _read_curve(text, metric):
-    reader = csv.DictReader(io.StringIO(text))
-    fields = reader.fieldnames or ()
-    if "step" not in fields or metric not in fields:
-        raise InputError(
-            f"curve needs step and {metric} columns, got {list(fields)}"
-        )
-    rows = list(reader)
-    if not rows:
-        raise InputError("curve has no data rows")
-    steps = [int(float(r["step"])) for r in rows]
-    values = [float(r[metric]) for r in rows]
-    return steps, values
-
-
-def _first_step(steps, values, threshold):
-    for step, value in zip(steps, values):
-        if value >= threshold:
-            return step
-    return None
-
-
-def compare_curves(curve_a, curve_b, metric="val_accuracy",
-                   thresholds=DEFAULT_THRESHOLDS):
-    """First step each curve reaches each threshold, plus final values.
-
-    Curves are CSV text with a step column and the metric column; a
-    curve that never reaches a threshold reports None for it.
-    """
-    steps_a, values_a = _read_curve(curve_a, metric)
-    steps_b, values_b = _read_curve(curve_b, metric)
-    return CurveComparison(
-        metric=metric,
-        thresholds=tuple(thresholds),
-        first_steps_a=tuple(_first_step(steps_a, values_a, t)
-                            for t in thresholds),
-        first_steps_b=tuple(_first_step(steps_b, values_b, t)
-                            for t in thresholds),
-        final_a=values_a[-1],
-        final_b=values_b[-1],
-    )
-
-
-def comparison_csv(comp):
-    """Threshold rows plus a trailing row with the final metric values."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("threshold", "first_step_a", "first_step_b"))
-    for threshold, a, b in zip(comp.thresholds, comp.first_steps_a,
-                               comp.first_steps_b):
-        writer.writerow((repr(float(threshold)),
-                         "" if a is None else a,
-                         "" if b is None else b))
-    writer.writerow(("final", repr(comp.final_a), repr(comp.final_b)))
     return out.getvalue()

@@ -75,7 +75,8 @@ def _cmd_distill(args):
         seq_len=cfg.max_seq_len,
         num_classes=cfg.num_classes,
     ))
-    if args.teacher_epochs > 0:
+    # a negative count reaches train_classifier, which rejects it
+    if args.teacher_epochs != 0:
         history = train_classifier(teacher, task, args.teacher_epochs,
                                    lr=args.teacher_lr,
                                    batch_size=args.batch_size,

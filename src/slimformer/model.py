@@ -20,9 +20,12 @@ runs each layer as an attention block and an FFN block; a block's
 temporaries die when it returns, and bias adds, residual adds, softmax,
 layer norm and GELU work in place in as few buffers as the arithmetic
 allows, in the same operation order.  With with_cache=True it also
-returns each layer's activations that backward needs; otherwise it
-holds the trace plus the block in flight, whose peak is the GELU (its
-input, its output and one temporary, each b x n x ffn).  backward
+returns each layer's activations that backward needs.  Otherwise it
+holds the trace plus one block of whole sequences: once b * n * ffn
+exceeds FORWARD_BLOCK it runs the layers block by block into
+preallocated full-batch trace arrays, byte-identical to one full-batch
+pass, and its peak beyond the trace is the GELU of one block (its
+input, its output and one temporary, each rows x n x ffn).  backward
 accepts upstream gradients injected at any subset of those points and
 returns exact gradients for every parameter, with masked positions
 receiving exactly zero.
@@ -41,6 +44,10 @@ from .tensor import ParamBundle
 
 LN_EPS = 1e-5
 INIT_STD = 0.05
+# a no-cache forward whose b * n * ffn exceeds this many float64 entries
+# (1 MiB of FFN activation) runs its layers over blocks of whole
+# sequences, each block at most this size
+FORWARD_BLOCK = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -436,12 +443,11 @@ class EncoderModel:
         lc.update(f_pre=f_pre, f_act=f_act, ln2=ln2_cache)
         return x
 
-    def forward(self, tokens, with_cache=False):
-        tokens = self._check_tokens(tokens)
-        cache = {"tokens": tokens, "layers": []}
+    def _encode(self, tokens, cache, with_cache):
+        """Embedding output, attention maps and hidden states of the
+        encoder layers over checked tokens."""
         x = self._embed(tokens, cache)
         embedding_out = x
-
         attention = []
         hidden = []
         for i in range(self.config.num_layers):
@@ -455,8 +461,48 @@ class EncoderModel:
             x = self._ffn_block(f"enc{i}", x1, lc)
             attention.append(probs)
             hidden.append(x)
+        return embedding_out, attention, hidden
 
-        pooled = x.mean(axis=1)
+    def _encode_blocks(self, tokens, step):
+        """_encode without a cache over consecutive blocks of `step`
+        whole sequences, each block's trace written into preallocated
+        full-batch arrays.
+
+        Every operation of a layer works per sequence (the stacked
+        matmuls run one product per sequence slice; softmax, layer norm
+        and GELU run row by row), so the bytes match one full-batch
+        _encode while only one block's activations are alive.
+        """
+        cfg = self.config
+        b, n = tokens.shape
+        embedding_out = np.empty((b, n, cfg.embed_dim))
+        attention = [np.empty((b, cfg.num_heads, n, n))
+                     for _ in range(cfg.num_layers)]
+        hidden = [np.empty((b, n, cfg.embed_dim))
+                  for _ in range(cfg.num_layers)]
+        full = [embedding_out, *attention, *hidden]
+        for start in range(0, b, step):
+            rows = slice(start, start + step)
+            emb, att, hid = self._encode(tokens[rows], {}, with_cache=False)
+            for dst, src in zip(full, [emb, *att, *hid]):
+                dst[rows] = src
+            # this block's trace dies before the next block runs
+            del emb, att, hid, src
+        return embedding_out, attention, hidden
+
+    def forward(self, tokens, with_cache=False):
+        tokens = self._check_tokens(tokens)
+        cache = {"tokens": tokens, "layers": []}
+        b, n = tokens.shape
+        step = max(1, FORWARD_BLOCK // (n * self.config.ffn_dim))
+        if with_cache or b <= step:
+            embedding_out, attention, hidden = self._encode(tokens, cache,
+                                                            with_cache)
+        else:
+            embedding_out, attention, hidden = self._encode_blocks(tokens,
+                                                                   step)
+
+        pooled = hidden[-1].mean(axis=1)
         logits = pooled @ self.params["cls.w"]
         logits += self.params["cls.b"]
         if not np.all(np.isfinite(logits)):

@@ -26,7 +26,7 @@ from .errors import DivergenceError, NonFiniteError, RangeError
 from .hybrid import compress_matrix
 from .model import Adam, EncoderModel
 from .prune import topk_mask
-from .tasks import evaluate
+from .tasks import check_schedule, evaluate
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,9 @@ def run_pipeline(teacher, plan, task, epochs_per_iteration=2, lr=2e-5,
     bit-identical copy of the teacher and no records.  Raises
     DivergenceError (with a state dump) when the fine-tuning loss goes
     non-finite or grows tenfold over its minimum within an iteration.
+    RangeError for negative epochs or a batch size below 1.
     """
+    check_schedule(epochs_per_iteration, batch_size)
     cfg = DistillConfig()
     student = teacher.copy()
     total = sum(e.size for e in teacher.config.shapes())

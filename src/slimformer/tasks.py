@@ -16,7 +16,8 @@ from .errors import RangeError
 from .model import Adam, GradInjections, softmax
 
 # evaluate forwards at most this many sequences at once; that bounds the
-# activations held and is no slower than one forward over the toy split
+# trace it holds (forward bounds its own activations by running in
+# blocks) and is no slower than one forward over the toy split
 EVAL_BATCH = 128
 
 
@@ -113,8 +114,17 @@ class EpochRecord:
     val_accuracy: float
 
 
+def check_schedule(epochs, batch_size):
+    """RangeError unless epochs >= 0 and batch_size >= 1."""
+    if epochs < 0:
+        raise RangeError(f"epochs must be non-negative, got {epochs}")
+    if batch_size < 1:
+        raise RangeError(f"batch size must be >= 1, got {batch_size}")
+
+
 def train_classifier(model, task, epochs, lr=2e-5, batch_size=32, seed=0):
     """Supervised fine-tuning on the task's hard labels, in place."""
+    check_schedule(epochs, batch_size)
     rng = np.random.default_rng(seed)
     opt = Adam(lr=lr)
     history = []

@@ -1,4 +1,4 @@
-"""Bias-distribution study and curve-comparison summaries."""
+"""Bias-distribution study."""
 
 import csv
 import io
@@ -10,8 +10,6 @@ from slimformer.analysis import (
     bias_histogram,
     bias_matrix,
     bias_study,
-    compare_curves,
-    comparison_csv,
     compressed_matrix,
     gaussian_testbed,
     histogram_csv,
@@ -159,62 +157,6 @@ class TestHistogramCsv:
         rows = list(csv.reader(io.StringIO(histogram_csv(hist))))[1:-1]
         for first, second in zip(rows, rows[1:]):
             assert float(first[1]) == float(second[0])
-
-
-def curve_text(values, start_step=1):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("step", "val_accuracy"))
-    for i, v in enumerate(values):
-        writer.writerow((start_step + i, v))
-    return out.getvalue()
-
-
-class TestCompareCurves:
-    def test_identical_curves(self):
-        text = curve_text([0.2, 0.5, 0.8, 0.9])
-        comp = compare_curves(text, text)
-        assert comp.first_steps_a == comp.first_steps_b
-        assert comp.final_a == comp.final_b == 0.9
-
-    def test_constant_curves_forced_example(self):
-        a = curve_text([0.9] * 5)
-        b = curve_text([0.5] * 5)
-        comp = compare_curves(a, b, thresholds=(0.8,))
-        assert comp.first_steps_a == (1,)
-        assert comp.first_steps_b == (None,)
-
-    def test_rising_curve_first_step(self):
-        a = curve_text([0.1, 0.4, 0.7, 0.7, 0.95], start_step=0)
-        b = curve_text([0.1, 0.2, 0.3, 0.8, 0.9], start_step=0)
-        comp = compare_curves(a, b, thresholds=(0.5, 0.9))
-        assert comp.first_steps_a == (2, 4)
-        assert comp.first_steps_b == (3, 4)
-        assert comp.final_a == pytest.approx(0.95)
-
-    def test_missing_column(self):
-        bad = "step,loss\n0,1.0\n"
-        good = curve_text([0.5])
-        with pytest.raises(InputError):
-            compare_curves(bad, good)
-        with pytest.raises(InputError):
-            compare_curves(good, "val_accuracy\n0.5\n")
-
-    def test_empty_curve(self):
-        header_only = "step,val_accuracy\n"
-        with pytest.raises(InputError):
-            compare_curves(header_only, header_only)
-
-    def test_comparison_csv_layout(self):
-        a = curve_text([0.9] * 3)
-        b = curve_text([0.5] * 3)
-        comp = compare_curves(a, b, thresholds=(0.4, 0.8))
-        rows = list(csv.reader(io.StringIO(comparison_csv(comp))))
-        assert rows[0] == ["threshold", "first_step_a", "first_step_b"]
-        assert rows[1] == ["0.4", "1", "1"]
-        assert rows[2] == ["0.8", "1", ""]
-        assert rows[3][0] == "final"
-        assert float(rows[3][1]) == 0.9
 
 
 class TestTestbed:

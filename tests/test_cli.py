@@ -195,6 +195,35 @@ class TestDistill:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-size", "0"),
+        ("--batch-size", "-3"),
+        ("--epochs", "-1"),
+        ("--teacher-epochs", "-1"),
+    ])
+    def test_bad_schedule_is_range_error(self, tmp_path, teacher_path,
+                                         capsys, flag, value):
+        plan = write_plan(tmp_path)
+        code = main(["distill", "--teacher", teacher_path, "--plan", plan,
+                     "--task-seed", "1", "--out", str(tmp_path / "run"),
+                     flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "must be" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_epochs_compresses_only(self, tmp_path, teacher_path,
+                                         capsys):
+        plan = write_plan(tmp_path)
+        out = tmp_path / "run"
+        code = main(["distill", "--teacher", teacher_path, "--plan", plan,
+                     "--task-seed", "1", "--out", str(out), "--epochs", "0"])
+        assert code == 0
+        assert load_model(out / "student").retained_count() == 7899
+        assert (out / "curve.csv").read_text(encoding="ascii").count("\n") == 1
+        assert "final val accuracy" not in capsys.readouterr().out
+
 
 class TestAnalyzeBias:
     def expected_cells(self, bundle_path):

@@ -10,6 +10,7 @@ invariant) without masking anything above 1e-10 absolute.
 import functools
 import math
 import os
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -24,6 +25,7 @@ from slimformer.errors import (BundleFormatError, ExpansionWarning,
                                InputError, RangeError)
 from slimformer.factorize import factorize_layer
 from slimformer.model import (
+    FORWARD_BLOCK,
     LN_EPS,
     TOY_CONFIG,
     Adam,
@@ -330,17 +332,44 @@ class TestForward:
         assert np.array_equal(got_inv_std, inv_std)
         assert np.array_equal(x, before)
 
+    @pytest.mark.parametrize("block_rows", [3, 1])
+    def test_blocked_forward_is_byte_identical(self, monkeypatch, block_rows):
+        """Forcing several blocks, the last one short, changes no byte of
+        the trace for any slot kind."""
+        n = TOY_CONFIG.max_seq_len
+        monkeypatch.setattr(sys.modules["slimformer.model"], "FORWARD_BLOCK",
+                            block_rows * n * TOY_CONFIG.ffn_dim)
+        tokens = rand_tokens(np.random.default_rng(9), TOY_CONFIG, batch=10)
+        for kind in SLOT_KINDS:
+            model = slot_kind_model(TOY_CONFIG, kind, seed=2)
+            blocked = model.forward(tokens)
+            whole, _ = model.forward(tokens, with_cache=True)
+            assert trace_bytes(blocked) == trace_bytes(whole), kind
+
     def test_peak_memory_bound(self):
-        """A no-cache forward holds at most 6.5 ffn activations
-        (b * n * ffn float64s) at its peak, the trace included."""
+        """A no-cache forward holds the trace plus one block: at 8 and 16
+        blocks its tracemalloc peak is the trace's bytes plus at most 5
+        of one block's ffn activations (b * n * ffn float64s), and
+        doubling the batch grows the peak by no more than the trace."""
         cfg = ModelConfig(vocab_size=64, embed_dim=64, num_layers=2,
                           num_heads=4, ffn_dim=256, max_seq_len=16,
                           num_classes=3)
         model = init_model(cfg, seed=0)
-        tokens = rand_tokens(np.random.default_rng(7), cfg, batch=64)
-        peak, _ = forward_peak(model, tokens, with_cache=False)
-        activation = tokens.size * cfg.ffn_dim * 8
-        assert peak <= 6.5 * activation
+        block_rows = FORWARD_BLOCK // (cfg.max_seq_len * cfg.ffn_dim)
+        block_activation = block_rows * cfg.max_seq_len * cfg.ffn_dim * 8
+        peaks, traces = [], []
+        for batch in (8 * block_rows, 16 * block_rows):
+            tokens = rand_tokens(np.random.default_rng(7), cfg, batch=batch)
+            peak, trace = forward_peak(model, tokens, with_cache=False)
+            held = sum(a.nbytes for a in (trace.embedding_out,
+                                          *trace.attention, *trace.hidden,
+                                          trace.logits))
+            assert peak <= held + 5 * block_activation, batch
+            peaks.append(peak)
+            traces.append(held)
+        # 1/16 of a block's activation absorbs Python-object noise
+        assert (peaks[1] - peaks[0]
+                <= traces[1] - traces[0] + block_activation / 16)
 
 
 class TestBackward:
