@@ -6,7 +6,8 @@ Solved on the toy stack, then on full-size reference shapes.
 """
 
 from slimformer import (TOY_CONFIG, plan_check, plan_from_fractions,
-                        random_search, solve_budget, transformer_shapes)
+                        pruning_fraction, random_search, solve_budget,
+                        transformer_shapes)
 
 toy = TOY_CONFIG.shapes()
 print("toy stack parameter groups:")
@@ -17,7 +18,8 @@ print(f"  {'total':<12} {toy.group_total():>6}")
 # Solve the default toy plan: 40% overall, embeddings to 55%, encoder
 # factorized to 45%. Whatever is left over falls on pruning.
 plan = solve_budget(toy, 0.4, p_embd=0.55, p_svd=0.45)
-print(f"\nsolved p_weight = {plan.p_weight:.6f} for the toy plan")
+print(f"\nsolved p_weight = {pruning_fraction(toy, plan):.6f} "
+      "for the toy plan")
 report = plan_check(toy, plan)
 for line in report.lines():
     print("  " + line)
@@ -49,5 +51,6 @@ def closeness(candidate):
 found = random_search(toy, 0.4, 32, closeness, seed=7)
 achieved = plan_check(toy, found).achieved_overall
 print(f"\nsearch over 32 samples: p_embd {found.p_embd:.4f}, "
-      f"p_svd {found.p_svd:.4f}, p_weight {found.p_weight:.4f}")
+      f"p_svd {found.p_svd:.4f}, "
+      f"p_weight {pruning_fraction(toy, found):.4f}")
 print(f"achieved overall {achieved:.6f}")

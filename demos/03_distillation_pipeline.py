@@ -26,8 +26,9 @@ print(f"budget sequence {[round(s, 4) for s in budget_sequence(0.8, 0.4)]}")
 result = run_pipeline(teacher, plan, task, lr=1e-3, seed=1)
 
 print(f"\n{'iter':>4} {'budget':>8} {'retained':>9} {'val acc':>8}")
+steps = len(result.records) // len(result.states)  # per iteration
 for state in result.states:
-    acc = state.records[-1].val_accuracy
+    acc = result.records[state.iteration * steps - 1].val_accuracy
     print(f"{state.iteration:>4} {state.budget_fraction:>8.4f} "
           f"{state.retained_fraction:>9.6f} {acc:>8.3f}")
 

@@ -4,10 +4,11 @@ An overall retained fraction P is split per group by the constraint
 
     P * total = p_embd * |embedding| + (p_svd * p_weight) * |encoder| + |classifier|
 
-with the classifier group never compressed.  solve_budget rearranges this
-for p_weight.  allocate turns a plan into exact integer retained counts
-per matrix: factor pairs get rank-floored storage, bias and norm vectors
-stay dense, and the remaining budget is spread over the encoder factor
+with the classifier group never compressed.  A plan stores P, p_embd
+and p_svd; pruning_fraction solves the constraint for p_weight.
+allocate turns a plan into exact integer retained counts per matrix:
+factor pairs get rank-floored storage, bias and norm vectors stay
+dense, and the remaining budget is spread over the encoder factor
 masks by largest-remainder rounding, so a feasible plan lands on
 round(P * total) exactly.  plan_check reports that simulation per group.
 
@@ -18,13 +19,12 @@ that makes full-size reference checks cheap.
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InfeasibleBudgetError, InputError, RangeError
 from .factorize import rank_for_ratio
-from .tensor import GROUPS
+from .tensor import GROUPS, load_record, save_record
 
 
 def _check_fraction(name, value):
@@ -121,12 +121,16 @@ def transformer_shapes(vocab_size, embed_dim, num_layers, ffn_dim,
 
 @dataclass(frozen=True)
 class CompressionPlan:
-    """Target fractions: overall, per-group, and the per-iteration delta."""
+    """Target fractions: overall, per-group, and the per-iteration delta.
+
+    The pruning fraction is not stored: allocation spends whatever
+    budget the overall target leaves after the embedding and SVD
+    fractions, and pruning_fraction reports it.
+    """
 
     p_overall: float
     p_embd: float
     p_svd: float
-    p_weight: float
     delta: float = 0.9
     seed: int = None
     notes: tuple = ()
@@ -135,7 +139,6 @@ class CompressionPlan:
         _check_fraction("p_overall", self.p_overall)
         _check_fraction("p_embd", self.p_embd)
         _check_fraction("p_svd", self.p_svd)
-        _check_fraction("p_weight", self.p_weight)
         if not 0.0 < self.delta < 1.0:
             raise RangeError(f"delta must be in (0, 1), got {self.delta}")
         object.__setattr__(self, "notes", tuple(self.notes))
@@ -150,47 +153,60 @@ def implied_overall(shapes, p_embd, p_svd, p_weight):
 
 
 def plan_from_fractions(shapes, p_embd, p_svd, p_weight, delta=0.9):
-    """Plan carrying given group fractions; p_overall is the implied value."""
+    """Plan carrying given group fractions; p_overall is the implied
+    value, which is all that p_weight sets."""
     overall = implied_overall(shapes, p_embd, p_svd, p_weight)
-    return CompressionPlan(overall, p_embd, p_svd, p_weight, delta=delta)
+    return CompressionPlan(overall, p_embd, p_svd, delta=delta)
+
+
+def _encoder_budget(shapes, plan):
+    """Params the overall target leaves to the encoder:
+    P*total - p_embd*|embedding| - |classifier|."""
+    return (plan.p_overall * shapes.group_total()
+            - plan.p_embd * shapes.group_total("embedding")
+            - shapes.group_total("classifier"))
+
+
+def pruning_fraction(shapes, plan):
+    """The plan's solved pruning fraction, clamped to [0, 1]:
+
+    p_weight = (P*total - p_embd*|embedding| - |classifier|) / (p_svd*|encoder|).
+    """
+    p_weight = _encoder_budget(shapes, plan) / (
+        plan.p_svd * shapes.group_total("encoder"))
+    return min(max(p_weight, 0.0), 1.0)
 
 
 def solve_budget(shapes, p_overall, p_embd, p_svd, delta=0.9):
-    """Solve the budget constraint for p_weight.
+    """Plan for the given fractions, checked against the budget constraint.
 
-    p_weight = (P*total - p_embd*|embedding| - |classifier|) / (p_svd*|encoder|),
-    clamped to 1 with an unmet-budget note when the model can satisfy P
-    without pruning.  Raises InfeasibleBudgetError when the budget cannot
-    cover the untouched groups, or when rank-floored storage alone
-    already exceeds it.
+    When the model can satisfy P without pruning, the pruning fraction
+    clamps to 1 and the plan carries an unmet-budget note.  Raises
+    InfeasibleBudgetError when the budget cannot cover the untouched
+    groups, or when rank-floored storage alone already exceeds it.
     """
     _check_fraction("p_overall", p_overall)
     _check_fraction("p_embd", p_embd)
     _check_fraction("p_svd", p_svd)
-    total = shapes.group_total()
-    embd = shapes.group_total("embedding")
     encd = shapes.group_total("encoder")
-    cls_count = shapes.group_total("classifier")
     if encd == 0:
         raise InfeasibleBudgetError("bundle has no encoder parameters", slack=0.0)
-    numerator = p_overall * total - p_embd * embd - cls_count
+    plan = CompressionPlan(p_overall, p_embd, p_svd, delta=delta)
+    numerator = _encoder_budget(shapes, plan)
     if numerator <= 0.0:
         raise InfeasibleBudgetError(
-            f"budget {p_overall} * {total} params cannot cover the embedding "
-            f"target and the untouched classifier; short by {-numerator:.1f}",
+            f"budget {p_overall} * {shapes.group_total()} params cannot cover "
+            f"the embedding target and the untouched classifier; short by "
+            f"{-numerator:.1f}",
             slack=numerator,
         )
-    p_weight = numerator / (p_svd * encd)
-    notes = []
-    if p_weight > 1.0:
+    wanted = numerator / (p_svd * encd)
+    if wanted > 1.0:
         unmet = numerator - p_svd * encd
-        notes.append(
-            f"p_weight clamped from {p_weight:.6f} to 1; "
-            f"unmet budget {unmet:.1f} params"
-        )
-        p_weight = 1.0
-    plan = CompressionPlan(p_overall, p_embd, p_svd, p_weight,
-                           delta=delta, notes=tuple(notes))
+        plan = replace(plan, notes=(
+            f"p_weight clamped from {wanted:.6f} to 1; "
+            f"unmet budget {unmet:.1f} params",
+        ))
     alloc = allocate(shapes, plan)  # raises when floors alone bust the budget
     if alloc.retained_count < alloc.target_count:
         shortfall = alloc.target_count - alloc.retained_count
@@ -392,7 +408,7 @@ def plan_check(shapes, plan):
 
     targets = {
         "embedding": plan.p_embd,
-        "encoder": plan.p_svd * plan.p_weight,
+        "encoder": plan.p_svd * pruning_fraction(shapes, plan),
         "classifier": 1.0,
     }
     groups = []
@@ -417,12 +433,14 @@ def plan_check(shapes, plan):
 def random_search(shapes, p_overall, trials, evaluator, seed=0, delta=0.9):
     """Best-scoring feasible plan over sampled (p_embd, p_svd) pairs.
 
-    p_embd is drawn log-uniform on [0.15, 1], p_svd on [0.3, 0.6];
-    p_weight is solved per sample.  Ties keep the earliest sample, so a
-    constant evaluator returns the first feasible plan.
+    p_embd is drawn log-uniform on [0.15, 1], p_svd on [0.3, 0.6] from
+    a non-negative seed.  Ties keep the earliest sample, so a constant
+    evaluator returns the first feasible plan.
     """
     if trials < 1:
         raise RangeError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise RangeError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     best = None
     best_score = -math.inf
@@ -446,46 +464,13 @@ def random_search(shapes, p_overall, trials, evaluator, seed=0, delta=0.9):
 
 
 def save_plan(plan, path):
-    """Write a plan as human-readable key=value lines."""
-    lines = [
-        f"p_overall={plan.p_overall!r}",
-        f"p_embd={plan.p_embd!r}",
-        f"p_svd={plan.p_svd!r}",
-        f"p_weight={plan.p_weight!r}",
-        f"delta={plan.delta!r}",
-        f"seed={'none' if plan.seed is None else plan.seed}",
-        f"notes={'|'.join(plan.notes)}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Write a plan as key=value lines: seed None is 'none', notes join
+    with '|'."""
+    save_record(plan, path, seed="none" if plan.seed is None else plan.seed,
+                notes="|".join(plan.notes))
 
 
 def load_plan(path):
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read plan file {path}: {exc}") from exc
-    data = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputError(f"malformed plan line {line!r}")
-        key, value = line.split("=", 1)
-        data[key.strip()] = value.strip()
-    try:
-        seed = data.get("seed", "none")
-        notes = data.get("notes", "")
-        return CompressionPlan(
-            p_overall=float(data["p_overall"]),
-            p_embd=float(data["p_embd"]),
-            p_svd=float(data["p_svd"]),
-            p_weight=float(data["p_weight"]),
-            delta=float(data.get("delta", 0.9)),
-            seed=None if seed == "none" else int(seed),
-            notes=tuple(n for n in notes.split("|") if n),
-        )
-    except KeyError as exc:
-        raise InputError(f"plan file {path} is missing key {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"plan file {path} has a bad value: {exc}") from exc
+    return load_record(path, CompressionPlan,
+                       seed=lambda text: None if text == "none" else int(text),
+                       notes=lambda text: tuple(n for n in text.split("|") if n))

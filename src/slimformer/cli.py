@@ -106,6 +106,9 @@ def _cmd_analyze_bias(args):
     model = load_model(_model_base(args.bundle))
     split = None
     if args.prune_fraction is not None:
+        if not 0.0 < args.prune_fraction <= 1.0:
+            raise RangeError(f"prune fraction must be in (0, 1], "
+                             f"got {args.prune_fraction}")
         split = (args.retain / args.prune_fraction, args.prune_fraction)
     pooled = []
     for e in model.config.shapes():

@@ -4,10 +4,6 @@ The student is supervised at four levels: embedding output, per-layer
 attention maps, per-layer hidden states (all mean squared error), and
 a soft cross entropy between teacher and student logits.  The combined
 objective is a weighted sum; zero-weight terms are skipped entirely.
-
-The soft cross entropy divides only the student logits by the
-temperature, leaving the teacher softmax untempered.  That asymmetry
-is deliberate and is invisible at the default t=1.
 """
 
 from dataclasses import dataclass
@@ -24,7 +20,6 @@ class DistillConfig:
     attention_weight: float = 1.0
     hidden_weight: float = 1.0
     prediction_weight: float = 1.0
-    temperature: float = 1.0
 
     def __post_init__(self):
         weights = (self.embedding_weight, self.attention_weight,
@@ -33,8 +28,6 @@ class DistillConfig:
             raise RangeError("loss weights must be non-negative")
         if not any(w > 0 for w in weights):
             raise RangeError("at least one distillation weight must be positive")
-        if self.temperature <= 0:
-            raise RangeError(f"temperature must be positive, got {self.temperature}")
 
 
 def mse_loss(student, teacher):
@@ -50,19 +43,17 @@ def _log_softmax(x):
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def prediction_loss(teacher_logits, student_logits, t=1.0):
-    """Soft cross entropy -softmax(teacher) . log softmax(student / t).
+def prediction_loss(teacher_logits, student_logits):
+    """Soft cross entropy -softmax(teacher) . log softmax(student).
 
     1-D inputs are one example; 2-D inputs average over the batch.
     """
-    if t <= 0:
-        raise RangeError(f"temperature must be positive, got {t}")
     ft, fs = teacher_logits, student_logits
     if ft.shape != fs.shape:
         raise ShapeError(f"logit shape mismatch {ft.shape} vs {fs.shape}")
     if ft.ndim == 1:
         ft, fs = ft[None, :], fs[None, :]
-    per_row = -np.sum(softmax(ft) * _log_softmax(fs / t), axis=-1)
+    per_row = -np.sum(softmax(ft) * _log_softmax(fs), axis=-1)
     return float(per_row.mean())
 
 
@@ -111,28 +102,19 @@ def distill_injections(teacher_trace, student_trace, cfg):
 
     if cfg.prediction_weight > 0:
         ft, fs = teacher_trace.logits, student_trace.logits
-        tmp = cfg.temperature
         breakdown["prediction"] = cfg.prediction_weight * prediction_loss(
-            ft, fs, tmp)
+            ft, fs)
         batch = fs.shape[0]
-        inj.logits = (cfg.prediction_weight / (batch * tmp)
-                      * (softmax(fs / tmp) - softmax(ft)))
+        inj.logits = (cfg.prediction_weight / batch
+                      * (softmax(fs) - softmax(ft)))
 
     total = sum(breakdown.values())
     return total, breakdown, inj
 
 
-@dataclass(frozen=True)
-class DistillRecord:
-    total: float
-    embedding: float
-    attention: float
-    hidden: float
-    prediction: float
-
-
 def distill_step(student, teacher, tokens, cfg, opt):
-    """One optimizer step on the distillation objective.
+    """One optimizer step on the distillation objective; returns the
+    step's (total, per-term breakdown), as total_distill_loss does.
 
     Masked student entries keep gradient zero and stay exactly zero
     after the update.  The teacher is only read.
@@ -142,5 +124,4 @@ def distill_step(student, teacher, tokens, cfg, opt):
     total, breakdown, inj = distill_injections(teacher_trace, student_trace, cfg)
     grads = student.backward(cache, inj)
     opt.step(student, grads)
-    return DistillRecord(total, breakdown["embedding"], breakdown["attention"],
-                         breakdown["hidden"], breakdown["prediction"])
+    return total, breakdown

@@ -32,15 +32,14 @@ receiving exactly zero.
 """
 
 import math
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import erf
 
 from .budget import transformer_shapes
 from .errors import InputError, NonFiniteError, RangeError
-from .tensor import ParamBundle
+from .tensor import ParamBundle, load_record, save_record
 
 LN_EPS = 1e-5
 INIT_STD = 0.05
@@ -61,10 +60,9 @@ class ModelConfig:
     num_classes: int
 
     def __post_init__(self):
-        for name in ("vocab_size", "embed_dim", "num_layers", "num_heads",
-                     "ffn_dim", "max_seq_len", "num_classes"):
-            if getattr(self, name) < 1:
-                raise RangeError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise RangeError(f"{f.name} must be positive")
         if self.embed_dim % self.num_heads != 0:
             raise RangeError(
                 f"embed_dim {self.embed_dim} not divisible by "
@@ -88,62 +86,43 @@ TOY_CONFIG = ModelConfig(vocab_size=64, embed_dim=32, num_layers=2,
 
 def truncated_config_for_budget(config, target_count):
     """Smaller architecture of the same family whose parameter count
-    best matches the target; the pure-distillation baseline student."""
+    best matches the target; the pure-distillation baseline student.
 
-    def count(d, heads, f):
-        return replace(config, embed_dim=d, num_heads=heads,
+    It has one attention head: the parameter count does not depend on
+    the head count, so every width from 1 up is a candidate.  Ties keep
+    the narrowest width and then the smallest ffn width.
+    """
+
+    def count(d, f):
+        return replace(config, embed_dim=d, num_heads=1,
                        ffn_dim=f).shapes().group_total()
 
     best = None
-    for heads in (1, 2, 4):
-        for d in range(heads, config.embed_dim + 1, heads):
-            # the count is monotone in the ffn width; bisect to the target
-            lo, hi = 1, config.ffn_dim
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if count(d, heads, mid) < target_count:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            for f in (lo - 1, lo, lo + 1):
-                if not 1 <= f <= config.ffn_dim:
-                    continue
-                gap = abs(count(d, heads, f) - target_count)
-                if best is None or gap < best[0]:
-                    best = (gap, d, heads, f)
-    _, d, heads, f = best
-    return replace(config, embed_dim=d, num_heads=heads, ffn_dim=f)
-
-
-_CONFIG_KEYS = ("vocab_size", "embed_dim", "num_layers", "num_heads",
-                "ffn_dim", "max_seq_len", "num_classes")
+    for d in range(1, config.embed_dim + 1):
+        # the count is monotone in the ffn width; bisect to the target
+        lo, hi = 1, config.ffn_dim
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if count(d, mid) < target_count:
+                lo = mid + 1
+            else:
+                hi = mid
+        for f in (lo - 1, lo, lo + 1):
+            if not 1 <= f <= config.ffn_dim:
+                continue
+            gap = abs(count(d, f) - target_count)
+            if best is None or gap < best[0]:
+                best = (gap, d, f)
+    _, d, f = best
+    return replace(config, embed_dim=d, num_heads=1, ffn_dim=f)
 
 
 def save_config(config, path):
-    lines = [f"{k}={getattr(config, k)}" for k in _CONFIG_KEYS]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    save_record(config, path)
 
 
 def load_config(path):
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
-    data = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputError(f"malformed config line {line!r}")
-        key, value = line.split("=", 1)
-        data[key.strip()] = value.strip()
-    try:
-        return ModelConfig(**{k: int(data[k]) for k in _CONFIG_KEYS})
-    except KeyError as exc:
-        raise InputError(f"config file {path} is missing key {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"config file {path} has a bad value: {exc}") from exc
+    return load_record(path, ModelConfig)
 
 
 @dataclass(frozen=True)
@@ -508,7 +487,6 @@ class EncoderModel:
         if not np.all(np.isfinite(logits)):
             raise NonFiniteError("logits are not finite")
         cache["pooled"] = pooled
-        cache["embedding_out"] = embedding_out
         trace = ForwardTrace(embedding_out, tuple(attention),
                              tuple(hidden), logits)
         if with_cache:

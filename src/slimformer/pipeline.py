@@ -16,7 +16,7 @@ teacher weights.
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class ScheduleState:
     budget_fraction: float
     retained_fraction: float
     group_fractions: dict
-    records: tuple
     notes: tuple
 
 
@@ -88,7 +87,6 @@ def interpolated_plan(plan, budget):
         p_overall=budget,
         p_embd=plan.p_embd ** tau,
         p_svd=plan.p_svd ** tau,
-        p_weight=plan.p_weight ** tau,
         delta=plan.delta,
     )
 
@@ -137,16 +135,18 @@ def run_pipeline(teacher, plan, task, epochs_per_iteration=2, lr=2e-5,
     """Iteratively compress and fine-tune a student of the teacher.
 
     Fine-tuning distils with the default DistillConfig (every term
-    weighted 1, temperature 1).  The teacher is only read.  A plan with p_overall = 1 returns a
-    bit-identical copy of the teacher and no records.  Raises
+    weighted 1).  The teacher is only read.  A plan with p_overall = 1
+    returns a bit-identical copy of the teacher and no records.  Raises
     DivergenceError (with a state dump) when the fine-tuning loss goes
     non-finite or grows tenfold over its minimum within an iteration.
-    RangeError for negative epochs or a batch size below 1.
+    RangeError for negative epochs, a batch size below 1 or a negative
+    seed.
     """
-    check_schedule(epochs_per_iteration, batch_size)
+    check_schedule(epochs_per_iteration, batch_size, seed)
     cfg = DistillConfig()
     student = teacher.copy()
-    total = sum(e.size for e in teacher.config.shapes())
+    shapes = teacher.config.shapes()
+    total = shapes.group_total()
     rng = np.random.default_rng(seed)
     records = []
     states = []
@@ -156,20 +156,22 @@ def run_pipeline(teacher, plan, task, epochs_per_iteration=2, lr=2e-5,
                                                        plan.p_overall), 1):
         student, alloc = compress_model(student, interpolated_plan(plan, budget))
         opt = Adam(lr=lr)
-        retained = student.retained_count() / total
-        iter_records = []
+        # fine-tuning keeps every mask, so these counts hold all iteration
+        live = student.retained_by_group()
+        retained = sum(live.values()) / total
         iter_min = math.inf
         for _ in range(epochs_per_iteration):
             order = rng.permutation(len(task.tokens_train))
             for start in range(0, len(order), batch_size):
                 idx = order[start:start + batch_size]
                 try:
-                    rec = distill_step(student, teacher,
-                                       task.tokens_train[idx], cfg, opt)
-                    check_divergence(rec.total, iter_min,
+                    loss, terms = distill_step(student, teacher,
+                                               task.tokens_train[idx], cfg,
+                                               opt)
+                    check_divergence(loss, iter_min,
                                      _state_dump(iteration, budget, step,
                                                  records))
-                    iter_min = min(iter_min, rec.total)
+                    iter_min = min(iter_min, loss)
                     accuracy = evaluate(student, task.tokens_val,
                                         task.labels_val)
                 except NonFiniteError as exc:
@@ -177,22 +179,17 @@ def run_pipeline(teacher, plan, task, epochs_per_iteration=2, lr=2e-5,
                         f"forward produced non-finite values at step {step}",
                         state=_state_dump(iteration, budget, step, records),
                     ) from exc
-                row = TrainingRecord(step, retained, rec.total, rec.embedding,
-                                     rec.attention, rec.hidden, rec.prediction,
-                                     accuracy)
-                records.append(row)
-                iter_records.append(row)
+                records.append(TrainingRecord(
+                    step, retained, loss, terms["embedding"],
+                    terms["attention"], terms["hidden"], terms["prediction"],
+                    accuracy))
                 step += 1
-        group_totals = {g: 0 for g in ("embedding", "encoder", "classifier")}
-        for e in teacher.config.shapes():
-            group_totals[e.group] += e.size
-        live = student.retained_by_group()
         states.append(ScheduleState(
             iteration=iteration,
             budget_fraction=budget,
-            retained_fraction=student.retained_count() / total,
-            group_fractions={g: live[g] / group_totals[g] for g in live},
-            records=tuple(iter_records),
+            retained_fraction=retained,
+            group_fractions={g: live[g] / shapes.group_total(g)
+                             for g in live},
             notes=alloc.notes,
         ))
     return PipelineResult(student, tuple(records), tuple(states))
@@ -219,20 +216,16 @@ def _state_dump(iteration, budget, step, records):
     }
 
 
-CURVE_COLUMNS = ("step", "retained_fraction", "loss_total", "loss_embedding",
-                 "loss_attention", "loss_hidden", "loss_prediction",
-                 "val_accuracy")
+CURVE_COLUMNS = tuple(f.name for f in fields(TrainingRecord))
 
 
 def record_curve(records):
-    """Training records as CSV text with a stable column order."""
+    """Training records as CSV text, one column per TrainingRecord field
+    in field order, each value written as its repr."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CURVE_COLUMNS)
     for r in records:
-        writer.writerow([r.step, repr(r.retained_fraction), repr(r.loss_total),
-                         repr(r.loss_embedding), repr(r.loss_attention),
-                         repr(r.loss_hidden), repr(r.loss_prediction),
-                         repr(r.val_accuracy)])
+        writer.writerow([repr(getattr(r, c)) for c in CURVE_COLUMNS])
     return out.getvalue()
 

@@ -8,7 +8,7 @@ bucket, so the label histogram stays balanced and the task is learnable
 by a small encoder.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class TaskConfig:
     bucket_bias: float = 0.35
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise RangeError(f"seed must be non-negative, got {self.seed}")
         if self.num_classes < 2 or self.num_classes > self.vocab_size:
             raise RangeError(
                 f"num_classes {self.num_classes} outside [2, vocab_size]"
@@ -114,8 +116,10 @@ class EpochRecord:
     val_accuracy: float
 
 
-def check_schedule(epochs, batch_size):
-    """RangeError unless epochs >= 0 and batch_size >= 1."""
+def check_schedule(epochs, batch_size, seed):
+    """RangeError unless epochs >= 0, batch_size >= 1 and seed >= 0."""
+    if seed < 0:
+        raise RangeError(f"seed must be non-negative, got {seed}")
     if epochs < 0:
         raise RangeError(f"epochs must be non-negative, got {epochs}")
     if batch_size < 1:
@@ -124,7 +128,7 @@ def check_schedule(epochs, batch_size):
 
 def train_classifier(model, task, epochs, lr=2e-5, batch_size=32, seed=0):
     """Supervised fine-tuning on the task's hard labels, in place."""
-    check_schedule(epochs, batch_size)
+    check_schedule(epochs, batch_size, seed)
     rng = np.random.default_rng(seed)
     opt = Adam(lr=lr)
     history = []

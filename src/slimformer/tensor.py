@@ -19,18 +19,25 @@ Entries are packed back to back: each offset is the summed size of the
 entries before it, the blob is exactly their total, and the file ends
 with the blob.  The manifest is ASCII and diffable; the blob is
 bit-exact on round trip.
+
+The text files (a model's .config, a compression plan) hold one
+dataclass record each, as key=value lines named by the record's fields;
+save_record and load_record are their one codec.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
-from typing import Iterable, Iterator
+from pathlib import Path
+from typing import Iterable, Iterator, get_type_hints
 
 import numpy as np
 
 from .errors import (
     BundleFormatError,
     ChecksumError,
+    InputError,
     MalformedManifestError,
     NonFiniteError,
     ShapeError,
@@ -213,3 +220,51 @@ def _parse_entry_line(line: str):
     if rows < 1 or cols < 1 or offset < 0:
         raise MalformedManifestError(f"non-positive dimensions in {line!r}")
     return name, group, rows, cols, offset, crc
+
+
+def save_record(record, path, **text) -> None:
+    """Write a dataclass record as key=value lines in field order; a
+    value is written as its f-string text unless `text` gives it."""
+    lines = [f"{f.name}={text.get(f.name, getattr(record, f.name))}\n"
+             for f in dataclasses.fields(record)]
+    Path(path).write_text("".join(lines), encoding="ascii")
+
+
+def load_record(path, record_type, **parse):
+    """Read one `record_type` dataclass record from key=value lines.
+
+    Blank and '#' lines are skipped.  A value is converted by
+    `parse[key]`, else by the field's type; a missing field takes its
+    default.  Raises InputError naming the file and the key for a line
+    without '=', an unknown, repeated or missing key, or a value that
+    its conversion or the record rejects.
+    """
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    types = get_type_hints(record_type)
+    values = {}
+    for line in map(str.strip, lines):
+        if not line or line.startswith("#"):
+            continue
+        key, sep, text = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise InputError(f"{path}: line {line!r} is not key=value")
+        if key not in types:
+            raise InputError(f"{path}: unknown key {key!r}")
+        if key in values:
+            raise InputError(f"{path}: repeated key {key!r}")
+        try:
+            values[key] = parse.get(key, types[key])(text.strip())
+        except ValueError as exc:
+            raise InputError(f"{path}: bad value for {key!r}: {exc}") from exc
+    for f in dataclasses.fields(record_type):
+        if (f.name not in values and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
+            raise InputError(f"{path}: missing key {f.name!r}")
+    try:
+        return record_type(**values)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc

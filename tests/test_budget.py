@@ -9,6 +9,7 @@ from slimformer.budget import (
     load_plan,
     plan_check,
     plan_from_fractions,
+    pruning_fraction,
     random_search,
     save_plan,
     solve_budget,
@@ -50,13 +51,13 @@ def test_solve_budget_hand_value():
     shapes = ShapeTable([("e", "embedding", 5, 6), ("w", "encoder", 6, 10),
                          ("c", "classifier", 2, 5)])
     plan = solve_budget(shapes, 0.5, 0.5, 1.0)
-    assert abs(plan.p_weight - 25.0 / 60.0) < 1e-12
+    assert abs(pruning_fraction(shapes, plan) - 25.0 / 60.0) < 1e-12
 
 
 def test_solve_budget_reference_row():
     plan = solve_budget(REFERENCE, 0.4, 1 / 1.43, 0.5)
     stated = 1 / 1.56
-    assert abs(plan.p_weight - stated) / stated < 0.05
+    assert abs(pruning_fraction(REFERENCE, plan) - stated) / stated < 0.05
 
 
 def test_solve_budget_clamps_and_notes():
@@ -64,8 +65,11 @@ def test_solve_budget_clamps_and_notes():
     shapes = ShapeTable([("e", "embedding", 8, 8), ("w", "encoder", 8, 8),
                          ("c", "classifier", 2, 2)])
     plan = solve_budget(shapes, 0.99, 0.9, 0.9)
-    assert plan.p_weight == 1.0
+    assert pruning_fraction(shapes, plan) == 1.0
     assert any("clamped" in n for n in plan.notes)
+    report = plan_check(shapes, plan)
+    encoder = [g for g in report.groups if g.group == "encoder"][0]
+    assert encoder.target_fraction == 0.9  # p_svd times the clamped 1
 
 
 def test_solve_budget_infeasible():
@@ -89,7 +93,7 @@ def test_solved_plan_allocation_is_exact():
 
 
 def test_plan_check_identity_plan():
-    plan = CompressionPlan(1.0, 1.0, 1.0, 1.0)
+    plan = CompressionPlan(1.0, 1.0, 1.0)
     report = plan_check(TOY, plan)
     assert report.feasible
     assert report.achieved_overall == 1.0
@@ -118,7 +122,7 @@ def test_classifier_group_always_full():
 
 
 def test_monotonicity_in_p_embd():
-    solved = [solve_budget(TOY, 0.5, pe, 0.5).p_weight
+    solved = [pruning_fraction(TOY, solve_budget(TOY, 0.5, pe, 0.5))
               for pe in (0.3, 0.5, 0.7, 0.9)]
     for hi, lo in zip(solved, solved[1:]):
         assert lo < hi
@@ -149,7 +153,8 @@ def test_achieved_within_one_percent_on_wide_bundles():
 
 def test_implied_overall_round_trip():
     plan = solve_budget(TOY, 0.4, 0.55, 0.45)
-    implied = implied_overall(TOY, plan.p_embd, plan.p_svd, plan.p_weight)
+    implied = implied_overall(TOY, plan.p_embd, plan.p_svd,
+                              pruning_fraction(TOY, plan))
     assert abs(implied - 0.4) < 1e-12
 
 
@@ -196,15 +201,40 @@ def test_plan_file_errors(tmp_path):
     path.write_text("p_overall=0.4\np_embd=0.5\n")
     with pytest.raises(InputError):
         load_plan(path)
-    path.write_text("p_overall=abc\np_embd=0.5\np_svd=0.5\np_weight=0.5\n")
+    path.write_text("p_overall=abc\np_embd=0.5\np_svd=0.5\n")
     with pytest.raises(InputError):
         load_plan(path)
     with pytest.raises(InputError):
         load_plan(tmp_path / "missing.txt")
 
 
+@pytest.mark.parametrize("text, key", [
+    ("p_overall=0.4\np_embd=0.55\np_svd=0.45\np_weight=0.83\n", "p_weight"),
+    ("p_overall=0.4\np_embd=0.55\np_svd=0.45\nrank=3\n", "rank"),
+    ("p_overall=0.4\np_embd=0.55\np_svd=0.45\np_svd=0.5\n", "p_svd"),
+    ("p_overall=0.4\np_embd=0.55\n", "p_svd"),
+    ("p_overall=0.4\np_embd=0.55\np_svd=0.45\nseed=x\n", "seed"),
+])
+def test_plan_file_keys_are_strict(tmp_path, text, key):
+    """A retired p_weight line, an unknown, repeated or missing key, or a
+    bad value is an InputError naming the file and the key."""
+    path = tmp_path / "plan.txt"
+    path.write_text(text)
+    with pytest.raises(InputError, match=f"plan.txt.*'{key}'"):
+        load_plan(path)
+
+
+def test_plan_file_has_no_pruning_fraction(tmp_path):
+    path = tmp_path / "plan.txt"
+    save_plan(solve_budget(TOY, 0.4, 0.55, 0.45), path)
+    keys = [line.split("=")[0] for line in path.read_text().splitlines()]
+    assert keys == ["p_overall", "p_embd", "p_svd", "delta", "seed", "notes"]
+    path.write_text("# comment\n\np_overall=0.4\np_embd=0.55\np_svd=0.45\n")
+    assert load_plan(path) == CompressionPlan(0.4, 0.55, 0.45)
+
+
 def test_plan_fraction_validation():
     with pytest.raises(RangeError):
-        CompressionPlan(0.4, 0.5, 0.5, 1.5)
+        CompressionPlan(0.4, 0.5, 1.5)
     with pytest.raises(RangeError):
-        CompressionPlan(0.4, 0.5, 0.5, 0.5, delta=1.0)
+        CompressionPlan(0.4, 0.5, 0.5, delta=1.0)

@@ -7,7 +7,8 @@ import zlib
 import numpy as np
 import pytest
 
-from slimformer.budget import CompressionPlan, load_plan, save_plan
+from slimformer.budget import (CompressionPlan, load_plan, pruning_fraction,
+                               save_plan)
 from slimformer.cli import main
 from slimformer.model import (TOY_CONFIG, init_model, load_model,
                               save_config, save_model)
@@ -23,8 +24,7 @@ def teacher_path(tmp_path):
 
 
 def write_plan(tmp_path, **overrides):
-    fields = dict(p_overall=0.4, p_embd=0.55, p_svd=0.45,
-                  p_weight=0.831227, delta=0.7)
+    fields = dict(p_overall=0.4, p_embd=0.55, p_svd=0.45, delta=0.7)
     fields.update(overrides)
     path = tmp_path / "plan.txt"
     save_plan(CompressionPlan(**fields), path)
@@ -74,7 +74,8 @@ class TestPlan:
                      "--out", str(out)])
         assert code == 0
         plan = load_plan(out)
-        assert plan.p_weight == pytest.approx(0.831227, abs=1e-6)
+        assert pruning_fraction(TOY_CONFIG.shapes(), plan) == pytest.approx(
+            0.831227, abs=1e-6)
         assert "achieved overall" in capsys.readouterr().out
 
     def test_search(self, tmp_path, teacher_path):
@@ -86,6 +87,14 @@ class TestPlan:
         assert 0.15 <= plan.p_embd <= 1.0
         assert 0.3 <= plan.p_svd <= 0.6
         assert plan.seed == 3
+
+    def test_search_negative_seed_is_range_error(self, tmp_path,
+                                                 teacher_path, capsys):
+        code = main(["plan", "--bundle", teacher_path, "--target", "0.4",
+                     "--search", "4", "--seed", "-1",
+                     "--out", str(tmp_path / "p.txt")])
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_needs_fractions_or_search(self, tmp_path, teacher_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -200,6 +209,8 @@ class TestDistill:
         ("--batch-size", "-3"),
         ("--epochs", "-1"),
         ("--teacher-epochs", "-1"),
+        ("--seed", "-1"),
+        ("--task-seed", "-1"),
     ])
     def test_bad_schedule_is_range_error(self, tmp_path, teacher_path,
                                          capsys, flag, value):
@@ -275,6 +286,15 @@ class TestAnalyzeBias:
         kinds = {kind for kind, _ in load_model(student).slots.values()}
         assert "factored" in kinds
 
+    @pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5"])
+    def test_prune_fraction_out_of_range(self, teacher_path, capsys,
+                                         fraction):
+        code = main(["analyze", "bias", "--bundle", teacher_path,
+                     "--mode", "hybrid", "--retain", "0.2",
+                     "--prune-fraction", fraction])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_retain_out_of_range(self, teacher_path, capsys):
         code = main(["analyze", "bias", "--bundle", teacher_path,
                      "--mode", "prune", "--retain", "1.5"])
@@ -298,8 +318,7 @@ class TestCheck:
         assert "total params        19747" in text
 
     def test_infeasible(self, tmp_path, teacher_path, capsys):
-        plan = write_plan(tmp_path, p_overall=0.01, p_embd=0.9,
-                          p_svd=0.9, p_weight=0.9)
+        plan = write_plan(tmp_path, p_overall=0.01, p_embd=0.9, p_svd=0.9)
         code = main(["check", "--bundle", teacher_path, "--plan", plan])
         assert code == 2
         assert "INFEASIBLE" in capsys.readouterr().out
@@ -322,6 +341,30 @@ class TestCheck:
                      "--out", str(tmp_path / "again.txt")])
         assert code == 0
         assert "total params        19747" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", ["p_weight=0.831227", "rank=3",
+                                      "p_svd=0.5"])
+    def test_stray_plan_key_is_format_error(self, tmp_path, teacher_path,
+                                            capsys, line):
+        """A plan file from before the pruning fraction left the format,
+        an unknown key or a repeated key exits 4 naming the key."""
+        plan = write_plan(tmp_path)
+        with open(plan, "a", encoding="ascii") as fh:
+            fh.write(line + "\n")
+        code = main(["check", "--bundle", teacher_path, "--plan", plan])
+        assert code == 4
+        assert repr(line.split("=")[0]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["num_experts=2", "num_heads=4"])
+    def test_stray_config_key_is_format_error(self, tmp_path, teacher_path,
+                                              capsys, line):
+        config = tmp_path / "teacher.config"
+        with open(config, "a", encoding="ascii") as fh:
+            fh.write(line + "\n")
+        code = main(["check", "--bundle", teacher_path,
+                     "--plan", write_plan(tmp_path)])
+        assert code == 4
+        assert repr(line.split("=")[0]) in capsys.readouterr().err
 
     def test_missing_plan(self, tmp_path, teacher_path):
         code = main(["check", "--bundle", teacher_path,

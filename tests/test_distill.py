@@ -74,15 +74,6 @@ class TestPredictionLoss:
         assert prediction_loss(t, t + 7.0) == pytest.approx(entropy, abs=1e-12)
         assert prediction_loss(t, t[::-1].copy()) > entropy + 1e-6
 
-    def test_temperature_divides_student_only(self):
-        t = np.array([2.0, 0.0])
-        s = np.array([4.0, 0.0])
-        target = softmax(t)
-        scaled = s / 2.0
-        logp = scaled - np.log(np.sum(np.exp(scaled)))
-        assert prediction_loss(t, s, t=2.0) == pytest.approx(
-            float(-np.sum(target * logp)), abs=1e-12)
-
     def test_batch_is_mean_over_rows(self):
         t = np.array([[0.0, 0.0], [3.0, -1.0]])
         s = np.array([[1.0, 2.0], [0.0, 0.5]])
@@ -92,8 +83,6 @@ class TestPredictionLoss:
     def test_errors(self):
         with pytest.raises(ShapeError):
             prediction_loss(np.zeros(2), np.zeros(3))
-        with pytest.raises(RangeError):
-            prediction_loss(np.zeros(2), np.zeros(2), t=0.0)
 
 
 def make_trace(rng, batch=2, layers=2, heads=2, n=4, d=6, classes=3):
@@ -183,8 +172,6 @@ class TestTotalLoss:
         with pytest.raises(RangeError):
             DistillConfig(embedding_weight=0, attention_weight=0,
                           hidden_weight=0, prediction_weight=0)
-        with pytest.raises(RangeError):
-            DistillConfig(temperature=0)
 
 
 class TestDistillGradients:
@@ -225,10 +212,6 @@ class TestDistillGradients:
     def test_fd_all_terms_default(self):
         assert self.fd_through_total(DistillConfig(), 30) < 1e-4
 
-    def test_fd_tempered(self):
-        cfg = DistillConfig(temperature=2.0)
-        assert self.fd_through_total(cfg, 31) < 1e-4
-
     def test_fd_single_terms(self):
         for kw in ("embedding_weight", "attention_weight",
                    "hidden_weight", "prediction_weight"):
@@ -252,9 +235,9 @@ class TestDistillStep:
         teacher = init_model(CFG, seed=42)
         student = teacher.copy()
         tokens = rand_tokens(np.random.default_rng(1))
-        record = distill_step(student, teacher, tokens, DistillConfig(),
-                              Adam(lr=1e-3))
-        assert record.embedding == 0.0
+        _, terms = distill_step(student, teacher, tokens, DistillConfig(),
+                                Adam(lr=1e-3))
+        assert terms["embedding"] == 0.0
         trace_t = teacher.forward(tokens)
         trace_s = student.forward(tokens)
         _, breakdown = total_distill_loss(trace_t, trace_s, DistillConfig())
@@ -281,6 +264,6 @@ class TestDistillStep:
         student = init_model(CFG, seed=46)
         opt = Adam(lr=1e-2)
         tokens = rand_tokens(np.random.default_rng(3))
-        records = [distill_step(student, teacher, tokens, DistillConfig(), opt)
-                   for _ in range(40)]
-        assert records[-1].total < records[0].total
+        losses = [distill_step(student, teacher, tokens, DistillConfig(), opt)[0]
+                  for _ in range(40)]
+        assert losses[-1] < losses[0]

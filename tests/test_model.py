@@ -195,6 +195,18 @@ class TestConfig:
         with pytest.raises(InputError):
             load_config(path)  # missing keys
 
+    @pytest.mark.parametrize("line, key", [("num_experts=2", "num_experts"),
+                                           ("embed_dim=16", "embed_dim"),
+                                           ("embed_dim", "embed_dim")])
+    def test_config_file_keys_are_strict(self, tmp_path, line, key):
+        """An unknown or repeated key, or a line without '=', is an
+        InputError naming the file and the key."""
+        path = tmp_path / "m.config"
+        save_config(TOY_CONFIG, path)
+        path.write_text(path.read_text() + "# note\n\n" + line + "\n")
+        with pytest.raises(InputError, match=f"m.config.*{key}"):
+            load_config(path)
+
 
 class TestTruncatedConfig:
     def test_close_to_target(self):
@@ -204,7 +216,7 @@ class TestTruncatedConfig:
                                    cfg.max_seq_len,
                                    cfg.num_classes).group_total()
         assert abs(count - 7899) <= 60
-        assert cfg.embed_dim % cfg.num_heads == 0
+        assert cfg.num_heads == 1
         assert cfg.embed_dim <= TOY_CONFIG.embed_dim
 
     def test_valid_model(self):

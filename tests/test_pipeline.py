@@ -62,7 +62,6 @@ class TestInterpolation:
         final = interpolated_plan(plan, plan.p_overall)
         assert final.p_embd == pytest.approx(plan.p_embd, abs=1e-12)
         assert final.p_svd == pytest.approx(plan.p_svd, abs=1e-12)
-        assert final.p_weight == pytest.approx(plan.p_weight, abs=1e-12)
 
     def test_fractions_shrink_with_budget(self):
         plan = toy_plan()
@@ -73,7 +72,6 @@ class TestInterpolation:
             current = interpolated_plan(plan, budget)
             assert current.p_embd < previous.p_embd
             assert current.p_svd < previous.p_svd
-            assert current.p_weight < previous.p_weight
             previous = current
 
     def test_unit_fraction_stays_unit(self):
@@ -123,7 +121,7 @@ class TestOneShot:
     def test_unit_plan_is_identity(self):
         teacher = init_model(TOY_CONFIG, seed=5)
         plan = replace(toy_plan(), p_overall=1.0, p_embd=1.0, p_svd=1.0,
-                       p_weight=1.0, notes=())
+                       notes=())
         student = one_shot_compress(teacher, plan)
         assert set(student.params) == set(teacher.params)
         for key in teacher.params:
@@ -154,7 +152,7 @@ class TestRunPipeline:
     def test_unit_plan_zero_iterations(self):
         teacher = init_model(TOY_CONFIG, seed=8)
         plan = replace(toy_plan(), p_overall=1.0, p_embd=1.0, p_svd=1.0,
-                       p_weight=1.0, notes=())
+                       notes=())
         result = run_pipeline(teacher, plan, small_task(), seed=0)
         assert result.records == ()
         assert result.states == ()
@@ -208,8 +206,6 @@ class TestRunPipeline:
         result = run_pipeline(teacher, toy_plan(delta=0.7), small_task(),
                               epochs_per_iteration=1, seed=6)
         assert len(result.states) == 3  # 0.7, 0.49, 0.4
-        total_rows = sum(len(s.records) for s in result.states)
-        assert total_rows == len(result.records)
         for state in result.states:
             assert 0.0 < state.group_fractions["encoder"] <= 1.0
             assert state.group_fractions["classifier"] == 1.0
