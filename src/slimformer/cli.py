@@ -40,8 +40,9 @@ def _cmd_plan(args):
             report = plan_check(shapes, plan)
             return -abs(report.achieved_overall - args.target)
 
+        seed = 0 if args.seed is None else args.seed
         plan = random_search(shapes, args.target, args.search, closeness,
-                             seed=args.seed, delta=args.delta)
+                             seed=seed, delta=args.delta)
     else:
         plan = solve_budget(shapes, args.target, args.p_embd, args.p_svd,
                             delta=args.delta)
@@ -154,7 +155,8 @@ def _parser():
     plan.add_argument("--p-svd", type=float)
     plan.add_argument("--search", type=int,
                       help="sample this many fraction pairs instead")
-    plan.add_argument("--seed", type=int, default=0)
+    plan.add_argument("--seed", type=int,
+                      help="seed of the --search sampler (default 0)")
     plan.add_argument("--delta", type=float, default=0.9)
     plan.add_argument("--out", required=True)
     plan.set_defaults(func=_cmd_plan)
@@ -213,6 +215,11 @@ def _validate(parser, args):
                          "or --search N")
         if args.search is not None and manual:
             parser.error("--search excludes --p-embd/--p-svd")
+        if args.search is None and args.seed is not None:
+            parser.error("--seed needs --search")
+    if (args.command == "analyze" and args.prune_fraction is not None
+            and args.mode != "hybrid"):
+        parser.error("--prune-fraction needs --mode hybrid")
 
 
 def main(argv=None):

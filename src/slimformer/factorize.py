@@ -3,7 +3,9 @@
 A weight matrix W (m x n) is replaced by A @ B.T with A = U_r sqrt(S_r)
 and B = V_r sqrt(S_r), so the product equals the rank-r truncation of W.
 The rank is chosen from a target retained fraction: storing the pair
-costs (m+n)*r parameters against m*n for the dense matrix.
+costs (m+n)*r parameters against m*n for the dense matrix.  A matrix
+already held as a pair is re-factorized through the pair's small core
+(svd_product), never multiplied out.
 """
 
 import math
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExpansionWarning, RangeError, ShapeError
-from .svd import svd, truncate
+from .svd import svd, svd_product, truncate
 
 
 @dataclass(frozen=True)
@@ -56,15 +58,18 @@ def factor_ratio(m, n, r):
     return (m + n) * r / (m * n)
 
 
-def factorize_layer(w, p_svd=1.0, rank=None):
+def factorize_layer(w, p_svd=1.0, rank=None, b=None):
     """Factor w into a LowRankPair at retained fraction p_svd.
 
-    When rank is given it overrides the ratio-derived value.  A pair that
-    would store more parameters than the dense matrix raises
-    ExpansionWarning but is still returned; budget code must not accept
-    such a layer silently.
+    When rank is given it overrides the ratio-derived value.  With b
+    given, the matrix is the product w @ b.T of a pair (w: m x k,
+    b: n x k), decomposed by svd_product; a rank above k raises
+    RangeError, since a pair cannot gain rank.  A pair that would store
+    more parameters than the dense matrix raises ExpansionWarning but
+    is still returned; budget code must not accept such a layer
+    silently.
     """
-    m, n = w.shape
+    m, n = w.shape if b is None else (w.shape[0], b.shape[0])
     r = rank_for_ratio(m, n, p_svd) if rank is None else rank
     ratio = factor_ratio(m, n, r)
     if ratio > 1.0:
@@ -74,7 +79,14 @@ def factorize_layer(w, p_svd=1.0, rank=None):
             ExpansionWarning,
             stacklevel=2,
         )
-    res = truncate(svd(w), r)
+    if b is None:
+        res = svd(w)
+    elif r > w.shape[1]:
+        raise RangeError(f"rank {r} is above the rank {w.shape[1]} of the "
+                         f"factor pair it would replace")
+    else:
+        res = svd_product(w, b)
+    res = truncate(res, r)
     root = np.sqrt(res.singular_values)
     return LowRankPair(a=res.u * root, b=res.v * root, r=r)
 

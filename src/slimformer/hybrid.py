@@ -10,16 +10,17 @@ from .factorize import factor_ratio, factorize_layer
 from .prune import topk_mask
 
 
-def compress_matrix(w, rank, ones_a, ones_b):
+def compress_matrix(w, rank, ones_a, ones_b, b=None):
     """Factorize the 2-D array w (m x n) at rank, then keep the ones_a
     largest |entries| of A (m x rank) and the ones_b largest of B
-    (n x rank).
+    (n x rank).  With b given, the matrix is the product w @ b.T of a
+    factor pair, which is re-factorized without being multiplied out.
 
     Returns ((a, mask_a), (b, mask_b)): each factor with its pruned
     entries zeroed, and its binary mask, or None for a half that keeps
-    every entry.  w is only read; the returned arrays are new.
+    every entry.  w and b are only read; the returned arrays are new.
     """
-    pair = factorize_layer(w, rank=rank)
+    pair = factorize_layer(w, rank=rank, b=b)
     halves = []
     for arr, ones in ((pair.a, ones_a), (pair.b, ones_b)):
         if ones == arr.size:

@@ -145,17 +145,28 @@ class GradInjections:
     logits: np.ndarray = None
 
 
-def gelu(x):
-    # 0.5 * x * (1 + erf(x / sqrt 2)) in one output buffer
-    y = x / math.sqrt(2.0)
-    erf(y, out=y)
-    y += 1.0
+def gelu_erf(x):
+    """erf(x / sqrt 2), the term gelu and gelu_grad share."""
+    e = x / math.sqrt(2.0)
+    erf(e, out=e)
+    return e
+
+
+def gelu(x, e=None):
+    """0.5 * x * (1 + erf(x / sqrt 2)) in one output buffer: erf's own,
+    or a new one when e = gelu_erf(x) is given (and kept intact)."""
+    if e is None:
+        y = gelu_erf(x)
+        y += 1.0
+    else:
+        y = e + 1.0
     y *= 0.5 * x
     return y
 
 
-def gelu_grad(x):
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+def gelu_grad(x, e):
+    """d gelu(x) / dx, with e = gelu_erf(x) from the forward pass."""
+    cdf = 0.5 * (1.0 + e)
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return cdf + x * pdf
 
@@ -409,11 +420,18 @@ class EncoderModel:
                   ln1=ln1_cache, x1=x1)
         return x1, probs
 
-    def _ffn_block(self, p, x1, lc):
-        """Feed-forward sublayer of layer p: its ln2 output."""
+    def _ffn_block(self, p, x1, lc, with_cache):
+        """Feed-forward sublayer of layer p: its ln2 output.
+
+        With the cache, lc also keeps GELU's erf term for gelu_grad.
+        """
         f_pre = self._slot_forward(f"{p}.ffn.w1", x1, lc)
         f_pre += self.params[f"{p}.ffn.b1"]
-        f_act = gelu(f_pre)
+        if with_cache:
+            lc["f_erf"] = gelu_erf(f_pre)
+            f_act = gelu(f_pre, lc["f_erf"])
+        else:
+            f_act = gelu(f_pre)
         g = self._slot_forward(f"{p}.ffn.w2", f_act, lc)
         g += self.params[f"{p}.ffn.b2"]
         g += x1
@@ -437,7 +455,7 @@ class EncoderModel:
             else:
                 # the attention block's activations die before the FFN runs
                 lc = {}
-            x = self._ffn_block(f"enc{i}", x1, lc)
+            x = self._ffn_block(f"enc{i}", x1, lc, with_cache)
             attention.append(probs)
             hidden.append(x)
         return embedding_out, attention, hidden
@@ -524,7 +542,7 @@ class EncoderModel:
             dx1 = dw.copy()
             df_act = self._slot_backward(f"{p}.ffn.w2", lc["f_act"], dg, lc, grads)
             grads[f"{p}.ffn.b2"] += dg.sum(axis=(0, 1))
-            df_pre = df_act * gelu_grad(lc["f_pre"])
+            df_pre = df_act * gelu_grad(lc["f_pre"], lc["f_erf"])
             dx1 += self._slot_backward(f"{p}.ffn.w1", lc["x1"], df_pre, lc, grads)
             grads[f"{p}.ffn.b1"] += df_pre.sum(axis=(0, 1))
             du, dg1, dbe1 = _ln_backward(dx1, self.params[f"{p}.ln1.gamma"],

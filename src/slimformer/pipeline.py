@@ -8,9 +8,11 @@ is geometric: at budget s the group fractions are p^tau with
 tau = ln(s) / ln(p_overall), so the product trajectory follows the
 budget sequence and the final iteration lands exactly on the plan.
 
-Compression always acts on the student's current effective weights
-(the fine-tuned factored form multiplied out), not on the original
-teacher weights.
+Compression always acts on the student's current weights, not on the
+original teacher weights.  From the second iteration on, the slots to
+factorize are already fine-tuned factor pairs (A, B); each is
+re-factorized through its r x r core (svd.svd_product) and never
+multiplied out, while a dense slot is decomposed as it is.
 """
 
 import csv
@@ -92,9 +94,12 @@ def interpolated_plan(plan, budget):
 
 
 def compress_model(model, plan):
-    """Apply one allocation to the model's current effective weights.
+    """Apply one allocation to the model's current weights.
 
     Returns the compressed student and the allocation that shaped it.
+    A slot to factorize is decomposed in the form the model holds it: a
+    dense matrix by svd, a factor pair through its core.  Only a factor
+    pair the allocation leaves dense or masked is multiplied out.
     Factor halves whose mask would be all ones carry no mask (pure
     low-rank factorization, as for embedding matrices).  The model is
     only read: the student's constructor copies every array it is given.
@@ -103,22 +108,26 @@ def compress_model(model, plan):
     params = {}
     masks = {}
     for e in alloc.entries:
+        if e.kind == "factored":
+            kind, keys = model.slots[e.name]
+            if kind == "factored":
+                w, b = (model.params[k] for k in keys)
+            else:
+                w, b = model.params[e.name], None
+            halves = compress_matrix(w, e.rank, e.ones_a, e.ones_b, b=b)
+            for half, (arr, mask) in zip(("a", "b"), halves):
+                key = f"{e.name}.{half}"
+                params[key] = arr
+                if mask is not None:
+                    masks[key] = mask
+            continue
         w = model.effective_weight(e.name)
-        if e.kind == "dense" or (e.kind == "masked"
-                                 and e.ones == e.rows * e.cols):
+        if e.kind == "dense" or e.ones == e.rows * e.cols:
             params[e.name] = w
             continue
-        if e.kind == "masked":
-            mask = topk_mask(w, e.ones)
-            params[e.name] = w * mask
-            masks[e.name] = mask
-            continue
-        halves = compress_matrix(w, e.rank, e.ones_a, e.ones_b)
-        for half, (arr, mask) in zip(("a", "b"), halves):
-            key = f"{e.name}.{half}"
-            params[key] = arr
-            if mask is not None:
-                masks[key] = mask
+        mask = topk_mask(w, e.ones)
+        params[e.name] = w * mask
+        masks[e.name] = mask
     return EncoderModel(model.config, params, masks), alloc
 
 

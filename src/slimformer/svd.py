@@ -5,11 +5,19 @@ columns of W with plane rotations.  Each sweep visits every column pair once
 in a fixed round-robin schedule, so pairs within a round are disjoint and the
 rotations of a round can be applied as one vectorized update.  Convergence is
 reached when the largest off-diagonal coherence |w_i . w_j| / (|w_i||w_j|)
-seen in a sweep drops below 1e-12; the sweep cap is 60.
+seen in a sweep drops below 1e-12; the sweep cap is 60.  A column shorter
+than 1e-14 * max(m, n) times the longest is rounding noise with no
+direction to converge to, so sweeps skip the pairs it is in.
 
 Wide matrices are decomposed through their transpose.  Signs are normalized
 so the largest-magnitude entry of every U column is non-negative, which makes
 the output deterministic across platforms.
+
+A matrix held as a factor pair A B^T (A: m x r, B: n x r) is decomposed
+through its r x r core without being multiplied out: with reduced QR
+A = Q_A R_A and B = Q_B R_B, A B^T = Q_A (R_A R_B^T) Q_B^T, so the Jacobi
+SVD of the core gives U = Q_A U_c and V = Q_B V_c (Golub & Van Loan 8.6).
+That costs O((m + n) r^2) plus a Jacobi solve of size r.
 """
 
 from __future__ import annotations
@@ -23,6 +31,9 @@ from .errors import RangeError, SvdConvergenceError
 
 COHERENCE_TOL = 1e-12
 SWEEP_CAP = 60
+# a column shorter than this times max(m, n) times the largest column
+# carries no direction: sweeps leave it alone and U gets a completion
+NEGLIGIBLE = 1e-14
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,21 @@ def svd(w: np.ndarray) -> SvdResult:
         v, s, u = _jacobi(w.T)
     u, v = _fix_signs(u, v)
     return SvdResult(np.ascontiguousarray(u), s, np.ascontiguousarray(v))
+
+
+def svd_product(a: np.ndarray, b: np.ndarray) -> SvdResult:
+    """Singular value decomposition of a @ b.T from its factors.
+
+    a is m x r and b is n x r; the product is never formed.  Returns
+    p = min(m, n, r) triples, sign-normalized like svd, with U and V
+    C-contiguous.  The singular values are those of the core R_A R_B^T.
+    """
+    qa, ra = np.linalg.qr(a)
+    qb, rb = np.linalg.qr(b)
+    core = svd(ra @ rb.T)
+    u, v = _fix_signs(qa @ core.u, qb @ core.v)
+    return SvdResult(np.ascontiguousarray(u), core.singular_values,
+                     np.ascontiguousarray(v))
 
 
 def truncate(s: SvdResult, r: int) -> SvdResult:
@@ -93,7 +119,7 @@ def _jacobi(a: np.ndarray):
 
     # Columns with negligible norm carry no direction information; replace
     # them with a deterministic orthonormal completion so U stays orthogonal.
-    cutoff = s[0] * max(m, n) * 1e-14 if s[0] > 0 else 0.0
+    cutoff = s[0] * max(m, n) * NEGLIGIBLE if s[0] > 0 else 0.0
     u = np.zeros((m, n))
     kept = s > cutoff
     u[:, kept] = w[:, kept] / s[kept]
@@ -103,10 +129,13 @@ def _jacobi(a: np.ndarray):
 
 
 def _sweep_to_convergence(w, v) -> float:
-    n = w.shape[1]
+    m, n = w.shape
     schedule = _round_robin(n)
     residual = np.inf
     for _ in range(SWEEP_CAP):
+        # rotating rounding noise against a live column never converges;
+        # no column outgrows s[0], so this floor is below _jacobi's cutoff
+        floor = np.einsum("ij,ij->j", w, w).max() * (m * NEGLIGIBLE) ** 2
         residual = 0.0
         for ps, qs in schedule:
             wp = w[:, ps]
@@ -115,7 +144,7 @@ def _sweep_to_convergence(w, v) -> float:
             beta = np.einsum("ij,ij->j", wq, wq)
             gamma = np.einsum("ij,ij->j", wp, wq)
             denom = np.sqrt(alpha * beta)
-            live = denom > 0.0
+            live = (alpha > floor) & (beta > floor)
             coh = np.zeros_like(gamma)
             np.divide(np.abs(gamma), denom, out=coh, where=live)
             residual = max(residual, float(coh.max()))

@@ -102,6 +102,22 @@ class TestPlan:
                   "--out", str(tmp_path / "p.txt")])
         assert excinfo.value.code == 2
 
+    def test_search_without_seed_uses_seed_zero(self, tmp_path,
+                                                teacher_path):
+        out = tmp_path / "plan.txt"
+        assert main(["plan", "--bundle", teacher_path, "--target", "0.4",
+                     "--search", "4", "--out", str(out)]) == 0
+        assert load_plan(out).seed == 0
+
+    def test_seed_needs_search(self, tmp_path, teacher_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plan", "--bundle", teacher_path, "--target", "0.4",
+                  "--p-embd", "0.55", "--p-svd", "0.45", "--seed", "3",
+                  "--out", str(tmp_path / "p.txt")])
+        assert excinfo.value.code == 2
+        assert "--seed needs --search" in capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
+
     def test_search_excludes_manual(self, tmp_path, teacher_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["plan", "--bundle", teacher_path, "--target", "0.4",
@@ -133,6 +149,27 @@ class TestCompress:
         student = load_model(out)
         assert student.retained_count() == 7899
         assert "retained 7899 of 19747" in capsys.readouterr().out
+
+    def test_student_cannot_gain_rank(self, tmp_path, teacher_path, capsys):
+        """A factor pair is re-factorized from its own core, so a plan
+        asking a student for a higher rank is out of range."""
+        student = tmp_path / "student"
+        assert main(["compress", "--bundle", teacher_path,
+                     "--plan", write_plan(tmp_path),
+                     "--out", str(student)]) == 0
+        capsys.readouterr()
+        again = tmp_path / "again"
+        assert main(["compress", "--bundle", f"{student}.bundle",
+                     "--plan", write_plan(tmp_path, p_overall=0.3,
+                                          p_svd=0.35),
+                     "--out", str(again)]) == 0
+        capsys.readouterr()
+        code = main(["compress", "--bundle", f"{student}.bundle",
+                     "--plan", write_plan(tmp_path, p_svd=0.9),
+                     "--out", str(tmp_path / "wider")])
+        assert code == 2
+        assert "above the rank 7 of the factor pair" in capsys.readouterr().err
+        assert not (tmp_path / "wider.bundle").exists()
 
     def test_malformed_plan(self, tmp_path, teacher_path):
         bad = tmp_path / "plan.txt"
@@ -285,6 +322,17 @@ class TestAnalyzeBias:
         assert counted == self.expected_cells(teacher_path)
         kinds = {kind for kind, _ in load_model(student).slots.values()}
         assert "factored" in kinds
+
+    @pytest.mark.parametrize("mode", ["prune", "svd"])
+    def test_prune_fraction_needs_hybrid(self, teacher_path, capsys, mode):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "bias", "--bundle", teacher_path,
+                  "--mode", mode, "--retain", "0.2",
+                  "--prune-fraction", "0.4"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--prune-fraction needs --mode hybrid" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5"])
     def test_prune_fraction_out_of_range(self, teacher_path, capsys,

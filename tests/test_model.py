@@ -34,6 +34,8 @@ from slimformer.model import (
     ModelConfig,
     _ln_forward,
     gelu,
+    gelu_erf,
+    gelu_grad,
     init_model,
     load_config,
     load_model,
@@ -334,6 +336,11 @@ class TestForward:
             softmax(x), shifted / np.sum(shifted, axis=-1, keepdims=True))
         assert np.array_equal(
             gelu(x), 0.5 * x * (1.0 + erf(x / math.sqrt(2.0))))
+        e = gelu_erf(x)
+        kept = e.copy()
+        assert np.array_equal(gelu(x, e), gelu(x))
+        assert np.array_equal(e, kept)
+        assert np.array_equal(gelu_grad(x, e), recomputed_gelu_grad(x))
         gamma, beta = rng.normal(size=32), rng.normal(size=32)
         mu = x.mean(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
@@ -384,7 +391,32 @@ class TestForward:
                 <= traces[1] - traces[0] + block_activation / 16)
 
 
+def recomputed_gelu_grad(x, e=None):
+    """GELU's derivative with erf recomputed from x, ignoring e."""
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return cdf + x * pdf
+
+
 class TestBackward:
+    def test_cached_erf_gives_recomputed_gradients(self, monkeypatch):
+        """Backward's GELU derivative from the forward's erf term gives,
+        bit for bit, the gradients of recomputing erf, for every slot
+        kind."""
+        tokens = rand_tokens(np.random.default_rng(12), TOY_CONFIG, batch=5)
+        module = sys.modules["slimformer.model"]
+        for kind in SLOT_KINDS:
+            model = slot_kind_model(TOY_CONFIG, kind, seed=3)
+            _, inj = trace_loss_coeffs(model, tokens, seed=4)
+            _, cache = model.forward(tokens, with_cache=True)
+            got = model.backward(cache, inj)
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "gelu_grad", recomputed_gelu_grad)
+                want = model.backward(cache, inj)
+            assert set(got) == set(want)
+            for key in got:
+                assert np.array_equal(got[key], want[key]), (kind, key)
+
     def test_zero_injection_zero_grads(self):
         model = init_model(small_config(), seed=1)
         tokens = rand_tokens(np.random.default_rng(0), small_config())

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from slimformer.budget import solve_budget
 from slimformer.errors import DivergenceError, RangeError
-from slimformer.model import TOY_CONFIG, init_model
+from slimformer.model import TOY_CONFIG, EncoderModel, init_model
 from slimformer.pipeline import (
     CURVE_COLUMNS,
     TrainingRecord,
@@ -115,6 +116,55 @@ class TestCompressModel:
         mask_b = student.masks["enc0.ffn.w1.b"]
         assert int(mask_a.sum()) == entry.ones_a
         assert int(mask_b.sum()) == entry.ones_b
+
+
+    def test_factored_slots_refactorize_from_their_core(self, monkeypatch):
+        """Re-compressing a factored student multiplies no factored slot
+        out: no effective_weight call for it, and the only SVD inputs are
+        the pairs' r x r cores."""
+        student, _ = compress_model(init_model(TOY_CONFIG, seed=8),
+                                    interpolated_plan(toy_plan(), 0.8))
+        factored = {name for name, (kind, _) in student.slots.items()
+                    if kind == "factored"}
+        assert len(factored) == 14
+        densified, svd_inputs = [], []
+        effective_weight = EncoderModel.effective_weight
+        svd = sys.modules["slimformer.svd"].svd
+
+        def weight_spy(model, slot):
+            densified.append(slot)
+            return effective_weight(model, slot)
+
+        def svd_spy(w):
+            svd_inputs.append(w.shape)
+            return svd(w)
+
+        monkeypatch.setattr(EncoderModel, "effective_weight", weight_spy)
+        for module in ("slimformer.svd", "slimformer.factorize"):
+            monkeypatch.setattr(sys.modules[module], "svd", svd_spy)
+        again, alloc = compress_model(student, toy_plan())
+        assert not factored & set(densified)
+        assert sorted(svd_inputs) == sorted(
+            (student.params[f"{name}.a"].shape[1],) * 2 for name in factored)
+        assert again.retained_count() == alloc.target_count == 7899
+
+    def test_factored_and_densified_students_compress_alike(self):
+        """A factor pair and its multiplied-out weight give the same
+        student up to rounding."""
+        student, _ = compress_model(init_model(TOY_CONFIG, seed=9),
+                                    interpolated_plan(toy_plan(), 0.8))
+        dense = EncoderModel(TOY_CONFIG, {
+            e.name: student.effective_weight(e.name)
+            for e in TOY_CONFIG.shapes()})
+        via_core, _ = compress_model(student, toy_plan())
+        via_dense, _ = compress_model(dense, toy_plan())
+        assert set(via_core.params) == set(via_dense.params)
+        for e in TOY_CONFIG.shapes():
+            w = via_dense.effective_weight(e.name)
+            assert (np.linalg.norm(via_core.effective_weight(e.name) - w)
+                    <= 1e-9 * np.linalg.norm(w)), e.name
+        for key, mask in via_dense.masks.items():
+            assert np.array_equal(via_core.masks[key], mask), key
 
 
 class TestOneShot:

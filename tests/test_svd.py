@@ -1,10 +1,14 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from slimformer.errors import RangeError, SvdConvergenceError
-from slimformer.svd import SvdResult, svd, truncate, truncation_error
+from slimformer.errors import ExpansionWarning, RangeError, SvdConvergenceError
+from slimformer.factorize import factorize_layer
+from slimformer.svd import (SvdResult, svd, svd_product, truncate,
+                            truncation_error)
 
 
 def _check_result(w: np.ndarray, res: SvdResult, tol=1e-8):
@@ -141,6 +145,16 @@ def test_eckart_young_against_random_factor_oracle():
             assert err <= rand_err + 1e-8
 
 
+def test_parallel_columns_converge():
+    """Rotating two parallel columns leaves one of them as rounding
+    noise; sweeps must not chase that noise's direction up to the cap."""
+    w = np.outer([1.0, -2.0, 3.0, 3.0], [-3.0, -2.0, -2.0, -2.0, 1.0])
+    for w in (w, w.T, np.ones((6, 4))):
+        res = svd(w)
+        _check_result(w, res)
+        assert res.singular_values[1] < 1e-14 * res.singular_values[0]
+
+
 def test_convergence_error_reports_residual(monkeypatch):
     # the package attribute slimformer.svd is the function, not the module
     monkeypatch.setattr(sys.modules["slimformer.svd"], "SWEEP_CAP", 1)
@@ -150,3 +164,104 @@ def test_convergence_error_reports_residual(monkeypatch):
         svd(w)
     assert exc.value.residual > 0.0
     assert exc.value.sweeps == 1
+
+
+@st.composite
+def factor_pairs(draw):
+    """(a, b, k): an m x r and an n x r factor with r <= min(m, n), each
+    half optionally masked and with some columns zeroed, and a rank
+    k <= r to truncate to."""
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 40))
+    r = draw(st.integers(1, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    masked = draw(st.sampled_from(("none", "a", "b", "both")))
+    halves = []
+    for half, rows in (("a", m), ("b", n)):
+        arr = rng.normal(size=(rows, r))
+        if masked in (half, "both"):
+            arr *= rng.random(arr.shape) < 0.5
+        zero = draw(st.lists(st.integers(0, r - 1), max_size=r, unique=True))
+        arr[:, zero] = 0.0
+        halves.append(arr)
+    return halves[0], halves[1], draw(st.integers(1, r))
+
+
+PRODUCT_SETTINGS = settings(max_examples=150, deadline=None,
+                            derandomize=True)
+
+
+@PRODUCT_SETTINGS
+@given(factor_pairs())
+def test_svd_product_matches_svd_of_product(pair):
+    a, b, k = pair
+    w = a @ b.T
+    r = a.shape[1]
+    res = svd_product(a, b)
+    dense = svd(w)
+    scale = max(dense.singular_values[0], 1e-300)
+    assert res.p == r
+    assert res.u.shape == (a.shape[0], r) and res.v.shape == (b.shape[0], r)
+    assert res.u.flags.c_contiguous and res.v.flags.c_contiguous
+    assert np.all(np.diff(res.singular_values) <= 0.0)
+    assert np.max(np.abs(res.singular_values
+                         - dense.singular_values[:r])) <= 1e-10 * scale
+    assert np.linalg.norm(res.u.T @ res.u - np.eye(r)) < 1e-10
+    assert np.linalg.norm(res.v.T @ res.v - np.eye(r)) < 1e-10
+    assert np.linalg.norm(res.reconstruct() - w) <= 1e-10 * scale * r
+    # the rank-k truncation is a best rank-k approximation of a @ b.T
+    err = np.linalg.norm(w - truncate(res, k).reconstruct())
+    assert abs(err - truncation_error(dense, k)) <= 1e-9 * scale * r
+    again = svd_product(a.copy(), b.copy())
+    for x, y in ((res.u, again.u), (res.v, again.v),
+                 (res.singular_values, again.singular_values)):
+        assert x.tobytes() == y.tobytes()
+
+
+@PRODUCT_SETTINGS
+@given(factor_pairs())
+def test_kept_factors_are_lapack_best_pair(pair):
+    """factorize_layer on a pair keeps LAPACK's best rank-k pair
+    U_k sqrt(S_k), V_k sqrt(S_k) up to one sign per triple, within the
+    1e-6 the benchmark's factor check allows.  Triples with a distinct
+    singular value are unique up to sign, so near-ties are skipped."""
+    a, b, k = pair
+    u, s, vt = np.linalg.svd(a @ b.T, full_matrices=False)
+    for i in range(min(k, len(s) - 1)):
+        if s[i] > 1e-13 * s[0]:
+            assume(s[i] - s[i + 1] > 1e-6 * s[0])
+    with warnings.catch_warnings():
+        # tiny pairs may store more than their matrix; intended here
+        warnings.simplefilter("ignore", ExpansionWarning)
+        got = factorize_layer(a, rank=k, b=b)
+    root = np.sqrt(s[:k])
+    best_a, best_b = u[:, :k] * root, vt[:k].T * root
+    sign = np.sign(np.sum(got.a * best_a, axis=0)
+                   + np.sum(got.b * best_b, axis=0))
+    sign[sign == 0.0] = 1.0
+    for kept, best in ((got.a, best_a), (got.b, best_b)):
+        assert (np.linalg.norm(kept - best * sign)
+                <= 1e-6 * max(np.linalg.norm(best), 1e-300))
+
+
+def test_svd_product_keeps_at_most_the_smaller_side():
+    """p = min(m, n, r): a pair wider than its matrix has min(m, n)
+    triples."""
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
+    res = svd_product(a, b)
+    assert res.p == 3
+    assert np.allclose(res.singular_values, svd(a @ b.T).singular_values,
+                       rtol=0.0, atol=1e-12 * res.singular_values[0])
+
+
+def test_rank_above_the_pair_is_range_error():
+    """A pair of width r spans rank r at most; asking for more triples
+    raises RangeError rather than padding with zeros."""
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(12, 3)), rng.normal(size=(10, 3))
+    with pytest.raises(RangeError):
+        truncate(svd_product(a, b), 4)
+    with pytest.raises(RangeError, match="above the rank 3"):
+        factorize_layer(a, rank=4, b=b)
+    assert factorize_layer(a, rank=3, b=b).r == 3
