@@ -132,7 +132,6 @@ class CompressionPlan:
     p_embd: float
     p_svd: float
     delta: float = 0.9
-    seed: int = None
     notes: tuple = ()
 
     def __post_init__(self):
@@ -453,7 +452,7 @@ def random_search(shapes, p_overall, trials, evaluator, seed=0, delta=0.9):
             continue
         score = evaluator(plan)
         if best is None or score > best_score:
-            best = replace(plan, seed=seed)
+            best = plan
             best_score = score
     if best is None:
         raise InfeasibleBudgetError(
@@ -464,13 +463,10 @@ def random_search(shapes, p_overall, trials, evaluator, seed=0, delta=0.9):
 
 
 def save_plan(plan, path):
-    """Write a plan as key=value lines: seed None is 'none', notes join
-    with '|'."""
-    save_record(plan, path, seed="none" if plan.seed is None else plan.seed,
-                notes="|".join(plan.notes))
+    """Write a plan as key=value lines; notes join with '|'."""
+    save_record(plan, path, notes="|".join(plan.notes))
 
 
 def load_plan(path):
     return load_record(path, CompressionPlan,
-                       seed=lambda text: None if text == "none" else int(text),
                        notes=lambda text: tuple(n for n in text.split("|") if n))

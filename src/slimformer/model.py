@@ -7,7 +7,8 @@ factored (a low-rank pair, optionally masked).  Factored slots run as
 still run dense products.  At the 40% plan the student computes 0.52
 of the teacher's forward multiply-adds at toy width and 0.46 at width
 256 (perfbench/madds.md), yet at toy width its forward is no faster
-(0.057 s against the teacher's 0.055 s on 256x16 tokens).
+(0.026 s against the teacher's 0.025 s on 256x16 tokens, two CPUs and
+one BLAS thread each).
 
 Parameters are plain writable float64 arrays owned by the model.
 Their structure (which keys form which slot, shapes, binary masks) is
@@ -20,18 +21,24 @@ runs each layer as an attention block and an FFN block; a block's
 temporaries die when it returns, and bias adds, residual adds, softmax,
 layer norm and GELU work in place in as few buffers as the arithmetic
 allows, in the same operation order.  With with_cache=True it also
-returns each layer's activations that backward needs.  Otherwise it
-holds the trace plus one block of whole sequences: once b * n * ffn
-exceeds FORWARD_BLOCK it runs the layers block by block into
-preallocated full-batch trace arrays, byte-identical to one full-batch
-pass, and its peak beyond the trace is the GELU of one block (its
-input, its output and one temporary, each rows x n x ffn).  backward
+returns each layer's activations that backward needs.  Otherwise, once
+b * n * ffn exceeds FORWARD_BLOCK, it cuts the batch into blocks of
+whole sequences, FORWARD_BLOCK / WORKERS entries each, and runs them on
+WORKERS threads (the caller and helpers from a pool made for the call
+and closed before it returns) into preallocated full-batch trace
+arrays, byte-identical to one full-batch pass.  It holds the trace plus
+at most WORKERS blocks, so its peak beyond the trace is the GELU of one
+FORWARD_BLOCK (input, output and one temporary, each rows x n x ffn).
+WORKERS is the number of CPUs the process may run on.  backward
 accepts upstream gradients injected at any subset of those points and
 returns exact gradients for every parameter, with masked positions
 receiving exactly zero.
 """
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -45,8 +52,11 @@ LN_EPS = 1e-5
 INIT_STD = 0.05
 # a no-cache forward whose b * n * ffn exceeds this many float64 entries
 # (1 MiB of FFN activation) runs its layers over blocks of whole
-# sequences, each block at most this size
+# sequences, all blocks alive at once at most this size
 FORWARD_BLOCK = 2 ** 17
+# threads that run a blocked forward: the CPUs this process may use
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -338,6 +348,8 @@ class EncoderModel:
             raise InputError(f"tokens must be 1-D or 2-D, got {tokens.ndim}-D")
         if not np.issubdtype(tokens.dtype, np.integer):
             raise InputError("tokens must be integers")
+        if tokens.shape[0] < 1:
+            raise InputError("the batch holds no sequences")
         if tokens.shape[1] < 1 or tokens.shape[1] > self.config.max_seq_len:
             raise InputError(
                 f"sequence length {tokens.shape[1]} outside "
@@ -461,14 +473,18 @@ class EncoderModel:
         return embedding_out, attention, hidden
 
     def _encode_blocks(self, tokens, step):
-        """_encode without a cache over consecutive blocks of `step`
-        whole sequences, each block's trace written into preallocated
-        full-batch arrays.
+        """_encode without a cache over blocks of `step` whole sequences,
+        each block's trace written into preallocated full-batch arrays.
 
         Every operation of a layer works per sequence (the stacked
         matmuls run one product per sequence slice; softmax, layer norm
         and GELU run row by row), so the bytes match one full-batch
-        _encode while only one block's activations are alive.
+        _encode.  The calling thread and up to WORKERS - 1 helper
+        threads, from a pool that lives for this call only, take block
+        starts from one shared iterator; numpy releases the interpreter
+        lock inside those operations, so the blocks run side by side.
+        Each writes disjoint rows, and at most WORKERS blocks are alive.
+        A block's exception is raised here once every thread has stopped.
         """
         cfg = self.config
         b, n = tokens.shape
@@ -478,24 +494,43 @@ class EncoderModel:
         hidden = [np.empty((b, n, cfg.embed_dim))
                   for _ in range(cfg.num_layers)]
         full = [embedding_out, *attention, *hidden]
-        for start in range(0, b, step):
-            rows = slice(start, start + step)
-            emb, att, hid = self._encode(tokens[rows], {}, with_cache=False)
-            for dst, src in zip(full, [emb, *att, *hid]):
-                dst[rows] = src
-            # this block's trace dies before the next block runs
-            del emb, att, hid, src
+        starts = iter(range(0, b, step))
+        lock = threading.Lock()
+
+        def run_blocks():
+            while True:
+                with lock:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                rows = slice(start, start + step)
+                emb, att, hid = self._encode(tokens[rows], {},
+                                             with_cache=False)
+                for dst, src in zip(full, [emb, *att, *hid]):
+                    dst[rows] = src
+                # this block's trace dies before the thread takes another
+                del emb, att, hid, src
+
+        helpers = min(WORKERS, -(-b // step)) - 1
+        # the pool starts threads only for submitted tasks: none for 0 helpers
+        with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
+            futures = [pool.submit(run_blocks) for _ in range(helpers)]
+            run_blocks()
+        for future in futures:
+            future.result()
         return embedding_out, attention, hidden
 
     def forward(self, tokens, with_cache=False):
         tokens = self._check_tokens(tokens)
         cache = {"tokens": tokens, "layers": []}
         b, n = tokens.shape
-        step = max(1, FORWARD_BLOCK // (n * self.config.ffn_dim))
-        if with_cache or b <= step:
+        seq_entries = n * self.config.ffn_dim
+        if with_cache or b <= max(1, FORWARD_BLOCK // seq_entries):
             embedding_out, attention, hidden = self._encode(tokens, cache,
                                                             with_cache)
         else:
+            # WORKERS blocks alive at once stay within one FORWARD_BLOCK
+            step = max(1, FORWARD_BLOCK // (seq_entries * WORKERS))
             embedding_out, attention, hidden = self._encode_blocks(tokens,
                                                                    step)
 

@@ -79,14 +79,23 @@ class TestPlan:
         assert "achieved overall" in capsys.readouterr().out
 
     def test_search(self, tmp_path, teacher_path):
-        out = tmp_path / "plan.txt"
-        code = main(["plan", "--bundle", teacher_path, "--target", "0.4",
-                     "--search", "8", "--seed", "3", "--out", str(out)])
-        assert code == 0
+        """--seed seeds the search: the same seed writes the same plan,
+        another seed samples other fractions; the seed is not stored."""
+        def search(seed, name):
+            out = tmp_path / name
+            assert main(["plan", "--bundle", teacher_path, "--target", "0.4",
+                         "--search", "8", "--seed", seed,
+                         "--out", str(out)]) == 0
+            return out
+
+        out = search("3", "plan.txt")
         plan = load_plan(out)
         assert 0.15 <= plan.p_embd <= 1.0
         assert 0.3 <= plan.p_svd <= 0.6
-        assert plan.seed == 3
+        assert "seed" not in out.read_text()
+        assert search("3", "again.txt").read_text() == out.read_text()
+        other = load_plan(search("4", "other.txt"))
+        assert (other.p_embd, other.p_svd) != (plan.p_embd, plan.p_svd)
 
     def test_search_negative_seed_is_range_error(self, tmp_path,
                                                  teacher_path, capsys):
@@ -107,7 +116,10 @@ class TestPlan:
         out = tmp_path / "plan.txt"
         assert main(["plan", "--bundle", teacher_path, "--target", "0.4",
                      "--search", "4", "--out", str(out)]) == 0
-        assert load_plan(out).seed == 0
+        zero = tmp_path / "zero.txt"
+        assert main(["plan", "--bundle", teacher_path, "--target", "0.4",
+                     "--search", "4", "--seed", "0", "--out", str(zero)]) == 0
+        assert out.read_text() == zero.read_text()
 
     def test_seed_needs_search(self, tmp_path, teacher_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -390,12 +402,13 @@ class TestCheck:
         assert code == 0
         assert "total params        19747" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("line", ["p_weight=0.831227", "rank=3",
-                                      "p_svd=0.5"])
+    @pytest.mark.parametrize("line", ["p_weight=0.831227", "seed=3",
+                                      "rank=3", "p_svd=0.5"])
     def test_stray_plan_key_is_format_error(self, tmp_path, teacher_path,
                                             capsys, line):
-        """A plan file from before the pruning fraction left the format,
-        an unknown key or a repeated key exits 4 naming the key."""
+        """A plan file from before the pruning fraction or the search
+        seed left the format, an unknown key or a repeated key exits 4
+        naming the key."""
         plan = write_plan(tmp_path)
         with open(plan, "a", encoding="ascii") as fh:
             fh.write(line + "\n")

@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 
@@ -308,6 +309,11 @@ class TestForward:
         with pytest.raises(InputError):
             model.forward(np.zeros((1, 2, 2), dtype=np.int64))
 
+    def test_empty_batch_is_input_error(self):
+        model = init_model(small_config(), seed=0)
+        with pytest.raises(InputError, match="no sequences"):
+            model.forward(np.zeros((0, 4), dtype=np.int64))
+
     def test_1d_tokens_promoted(self):
         model = init_model(small_config(), seed=0)
         one = model.forward(np.array([1, 2, 3]))
@@ -365,30 +371,158 @@ class TestForward:
             whole, _ = model.forward(tokens, with_cache=True)
             assert trace_bytes(blocked) == trace_bytes(whole), kind
 
-    def test_peak_memory_bound(self):
-        """A no-cache forward holds the trace plus one block: at 8 and 16
-        blocks its tracemalloc peak is the trace's bytes plus at most 5
-        of one block's ffn activations (b * n * ffn float64s), and
-        doubling the batch grows the peak by no more than the trace."""
-        cfg = ModelConfig(vocab_size=64, embed_dim=64, num_layers=2,
-                          num_heads=4, ffn_dim=256, max_seq_len=16,
-                          num_classes=3)
-        model = init_model(cfg, seed=0)
-        block_rows = FORWARD_BLOCK // (cfg.max_seq_len * cfg.ffn_dim)
-        block_activation = block_rows * cfg.max_seq_len * cfg.ffn_dim * 8
+    def test_peak_memory_bound(self, monkeypatch):
+        """A no-cache forward on one thread holds the trace plus one
+        block: at 8 and 16 blocks its tracemalloc peak is the trace's
+        bytes plus at most 5 of one block's ffn activations (b * n * ffn
+        float64s), and doubling the batch grows the peak by no more than
+        the trace."""
+        monkeypatch.setattr(sys.modules["slimformer.model"], "WORKERS", 1)
+        model, block_rows, block_activation = peak_model()
         peaks, traces = [], []
         for batch in (8 * block_rows, 16 * block_rows):
-            tokens = rand_tokens(np.random.default_rng(7), cfg, batch=batch)
-            peak, trace = forward_peak(model, tokens, with_cache=False)
-            held = sum(a.nbytes for a in (trace.embedding_out,
-                                          *trace.attention, *trace.hidden,
-                                          trace.logits))
+            peak, held = forward_peak_beyond_trace(model, batch)
             assert peak <= held + 5 * block_activation, batch
             peaks.append(peak)
             traces.append(held)
         # 1/16 of a block's activation absorbs Python-object noise
         assert (peaks[1] - peaks[0]
                 <= traces[1] - traces[0] + block_activation / 16)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pooled_peak_within_one_block(self, monkeypatch, workers):
+        """WORKERS threads, each on a block of 1/WORKERS the size, peak
+        no higher than one thread on whole blocks, however their blocks
+        line up in time, and within test_peak_memory_bound's bound."""
+        module = sys.modules["slimformer.model"]
+        model, block_rows, block_activation = peak_model()
+        for batch in (8 * block_rows, 16 * block_rows):
+            monkeypatch.setattr(module, "WORKERS", 1)
+            one, _ = forward_peak_beyond_trace(model, batch)
+            monkeypatch.setattr(module, "WORKERS", workers)
+            pooled, held = forward_peak_beyond_trace(model, batch)
+            assert pooled <= held + 5 * block_activation, batch
+            assert pooled <= one + block_activation / 16, batch
+
+
+def peak_model():
+    """(model, rows of one FORWARD_BLOCK, bytes of its ffn activation)
+    at a width where the batches below run blocked."""
+    cfg = ModelConfig(vocab_size=64, embed_dim=64, num_layers=2,
+                      num_heads=4, ffn_dim=256, max_seq_len=16,
+                      num_classes=3)
+    block_rows = FORWARD_BLOCK // (cfg.max_seq_len * cfg.ffn_dim)
+    block_activation = block_rows * cfg.max_seq_len * cfg.ffn_dim * 8
+    return init_model(cfg, seed=0), block_rows, block_activation
+
+
+def forward_peak_beyond_trace(model, batch):
+    """(tracemalloc peak, bytes of the trace) of one no-cache forward."""
+    tokens = rand_tokens(np.random.default_rng(7), model.config, batch=batch)
+    peak, trace = forward_peak(model, tokens, with_cache=False)
+    held = sum(a.nbytes for a in (trace.embedding_out, *trace.attention,
+                                  *trace.hidden, trace.logits))
+    return peak, held
+
+
+class BlockFailure(Exception):
+    pass
+
+
+class TestPooledForward:
+    """The blocked forward on WORKERS threads: FORWARD_BLOCK is set so
+    that the trigger is `trigger_rows` sequences, and blocks are
+    trigger_rows // WORKERS sequences (at least 1)."""
+
+    @staticmethod
+    def patch(monkeypatch, workers, trigger_rows):
+        module = sys.modules["slimformer.model"]
+        monkeypatch.setattr(module, "WORKERS", workers)
+        monkeypatch.setattr(module, "FORWARD_BLOCK", trigger_rows
+                            * TOY_CONFIG.max_seq_len * TOY_CONFIG.ffn_dim)
+
+    @pytest.mark.parametrize("workers, trigger_rows, batch", [
+        (1, 6, 11),   # blocks of 6 and 5
+        (2, 6, 11),   # 3, 3, 3, 2
+        (3, 6, 11),   # 2 x 5 and 1: more threads than cores
+        (3, 1, 2),    # blocks of 1: more workers than blocks
+    ])
+    def test_byte_identical_for_every_slot_kind(self, monkeypatch, workers,
+                                                trigger_rows, batch):
+        """Every block lands once in its rows: the trace bytes equal the
+        full-batch cached pass, also with threads switching as often as
+        the interpreter allows."""
+        self.patch(monkeypatch, workers, trigger_rows)
+        tokens = rand_tokens(np.random.default_rng(10), TOY_CONFIG,
+                             batch=batch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for kind in SLOT_KINDS:
+                model = slot_kind_model(TOY_CONFIG, kind, seed=5)
+                pooled = model.forward(tokens)
+                whole, _ = model.forward(tokens, with_cache=True)
+                assert trace_bytes(pooled) == trace_bytes(whole), kind
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers, trigger_rows, batch",
+                             [(2, 6, 11), (3, 6, 11), (3, 1, 2)])
+    def test_threads_end_with_the_call(self, monkeypatch, workers,
+                                       trigger_rows, batch):
+        """At most min(WORKERS, blocks) threads run blocks, and none but
+        the caller's is alive once forward returns."""
+        self.patch(monkeypatch, workers, trigger_rows)
+        step = max(1, trigger_rows // workers)
+        blocks = -(-batch // step)
+        runners, alive = set(), []
+        encode = EncoderModel._encode
+
+        def spy(model, tokens, cache, with_cache):
+            runners.add(threading.get_ident())
+            alive.append(threading.active_count())
+            return encode(model, tokens, cache, with_cache)
+
+        monkeypatch.setattr(EncoderModel, "_encode", spy)
+        model = init_model(TOY_CONFIG, seed=0)
+        tokens = rand_tokens(np.random.default_rng(11), TOY_CONFIG,
+                             batch=batch)
+        before = threading.active_count()
+        model.forward(tokens)
+        assert threading.active_count() == before
+        assert len(alive) == blocks
+        assert max(alive) <= before + min(workers, blocks) - 1
+        assert len(runners) <= min(workers, blocks)
+
+    @pytest.mark.parametrize("in_helper", [True, False])
+    def test_block_exception_leaves_forward(self, monkeypatch, in_helper):
+        """An exception raised in one block, in a helper thread or in the
+        calling thread, leaves forward as that same exception once every
+        thread has stopped."""
+        self.patch(monkeypatch, workers=2, trigger_rows=2)
+        caller = threading.get_ident()
+        # each thread's first block waits until the other has one too
+        both = threading.Barrier(2, timeout=10)
+        runners = set()
+        encode = EncoderModel._encode
+
+        def failing(model, tokens, cache, with_cache):
+            me = threading.get_ident()
+            if me not in runners:
+                runners.add(me)
+                both.wait()
+            if (me != caller) == in_helper:
+                raise BlockFailure("block")
+            return encode(model, tokens, cache, with_cache)
+
+        monkeypatch.setattr(EncoderModel, "_encode", failing)
+        model = init_model(TOY_CONFIG, seed=0)
+        tokens = rand_tokens(np.random.default_rng(12), TOY_CONFIG, batch=8)
+        before = threading.active_count()
+        with pytest.raises(BlockFailure):
+            model.forward(tokens)
+        assert len(runners) == 2
+        assert threading.active_count() == before
 
 
 def recomputed_gelu_grad(x, e=None):
