@@ -23,18 +23,24 @@ layer norm and GELU work in place in as few buffers as the arithmetic
 allows, in the same operation order.  With with_cache=True it also
 returns each layer's activations that backward needs.  Otherwise, once
 b * n * ffn exceeds FORWARD_BLOCK, it cuts the batch into blocks of
-whole sequences, FORWARD_BLOCK / WORKERS entries each, and runs them on
-WORKERS threads (the caller and helpers from a pool made for the call
-and closed before it returns) into preallocated full-batch trace
+whole sequences, FORWARD_BLOCK / WORKERS entries each (pooled_rows),
+and runs them through run_on_workers into preallocated full-batch trace
 arrays, byte-identical to one full-batch pass.  It holds the trace plus
 at most WORKERS blocks, so its peak beyond the trace is the GELU of one
 FORWARD_BLOCK (input, output and one temporary, each rows x n x ffn).
-WORKERS is the number of CPUs the process may run on.  backward
-accepts upstream gradients injected at any subset of those points and
-returns exact gradients for every parameter, with masked positions
-receiving exactly zero.
+backward accepts upstream gradients injected at any subset of those
+points and returns exact gradients for every parameter, with masked
+positions receiving exactly zero.
+
+run_on_workers runs independent jobs on WORKERS threads, the number of
+CPUs the process may run on: the caller and helpers from a pool made
+for the call and closed before it returns.  Its three users are the
+blocked forward (one job per block), tasks.evaluate (one unblocked
+forward per chunk of pooled_rows sequences) and distill.distill_step
+(the teacher's forward and the student's cached forward side by side).
 """
 
+import contextvars
 import math
 import os
 import threading
@@ -54,9 +60,54 @@ INIT_STD = 0.05
 # (1 MiB of FFN activation) runs its layers over blocks of whole
 # sequences, all blocks alive at once at most this size
 FORWARD_BLOCK = 2 ** 17
-# threads that run a blocked forward: the CPUs this process may use
+# threads run_on_workers runs jobs on: the CPUs this process may use
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
+
+
+def run_on_workers(job, items):
+    """[job(item) for item in items], run side by side on WORKERS threads.
+
+    The calling thread and min(WORKERS, len(items)) - 1 helper threads,
+    from a pool that lives for this call only, take items in order from
+    one shared iterator; numpy releases the interpreter lock inside its
+    kernels, so jobs over arrays overlap.  Results come back in item
+    order, and every job sees the caller's numpy error state.  Once a
+    job raises, no thread takes another item; when every thread has
+    stopped, the exception of the earliest item that raised is raised
+    here, the one a serial loop would have raised.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    raised = {}
+    order = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = None if raised else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = job(items[i])
+            except Exception as exc:
+                with lock:
+                    raised[i] = exc
+
+    helpers = min(WORKERS, len(items)) - 1
+    # the pool starts threads only for submitted tasks: none for 0 helpers
+    with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
+        # each helper runs in a copy of the caller's context, so the
+        # caller's np.errstate holds in every thread
+        futures = [pool.submit(contextvars.copy_context().run, work)
+                   for _ in range(helpers)]
+        work()
+    for future in futures:
+        future.result()
+    if raised:
+        raise raised[min(raised)]
+    return results
 
 
 @dataclass(frozen=True)
@@ -479,12 +530,8 @@ class EncoderModel:
         Every operation of a layer works per sequence (the stacked
         matmuls run one product per sequence slice; softmax, layer norm
         and GELU run row by row), so the bytes match one full-batch
-        _encode.  The calling thread and up to WORKERS - 1 helper
-        threads, from a pool that lives for this call only, take block
-        starts from one shared iterator; numpy releases the interpreter
-        lock inside those operations, so the blocks run side by side.
-        Each writes disjoint rows, and at most WORKERS blocks are alive.
-        A block's exception is raised here once every thread has stopped.
+        _encode.  The blocks run through run_on_workers; each writes
+        disjoint rows, and a block's trace dies when its job returns.
         """
         cfg = self.config
         b, n = tokens.shape
@@ -494,45 +541,33 @@ class EncoderModel:
         hidden = [np.empty((b, n, cfg.embed_dim))
                   for _ in range(cfg.num_layers)]
         full = [embedding_out, *attention, *hidden]
-        starts = iter(range(0, b, step))
-        lock = threading.Lock()
 
-        def run_blocks():
-            while True:
-                with lock:
-                    start = next(starts, None)
-                if start is None:
-                    return
-                rows = slice(start, start + step)
-                emb, att, hid = self._encode(tokens[rows], {},
-                                             with_cache=False)
-                for dst, src in zip(full, [emb, *att, *hid]):
-                    dst[rows] = src
-                # this block's trace dies before the thread takes another
-                del emb, att, hid, src
+        def run_block(start):
+            rows = slice(start, start + step)
+            emb, att, hid = self._encode(tokens[rows], {}, with_cache=False)
+            for dst, src in zip(full, [emb, *att, *hid]):
+                dst[rows] = src
 
-        helpers = min(WORKERS, -(-b // step)) - 1
-        # the pool starts threads only for submitted tasks: none for 0 helpers
-        with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
-            futures = [pool.submit(run_blocks) for _ in range(helpers)]
-            run_blocks()
-        for future in futures:
-            future.result()
+        run_on_workers(run_block, range(0, b, step))
         return embedding_out, attention, hidden
+
+    def pooled_rows(self, n):
+        """Sequences of length n per block of a pooled no-cache forward:
+        WORKERS blocks alive at once stay within one FORWARD_BLOCK, and
+        a forward over one block never runs blocked itself."""
+        return max(1, FORWARD_BLOCK // (n * self.config.ffn_dim * WORKERS))
 
     def forward(self, tokens, with_cache=False):
         tokens = self._check_tokens(tokens)
         cache = {"tokens": tokens, "layers": []}
         b, n = tokens.shape
-        seq_entries = n * self.config.ffn_dim
-        if with_cache or b <= max(1, FORWARD_BLOCK // seq_entries):
+        if with_cache or b <= max(1, FORWARD_BLOCK
+                                  // (n * self.config.ffn_dim)):
             embedding_out, attention, hidden = self._encode(tokens, cache,
                                                             with_cache)
         else:
-            # WORKERS blocks alive at once stay within one FORWARD_BLOCK
-            step = max(1, FORWARD_BLOCK // (seq_entries * WORKERS))
-            embedding_out, attention, hidden = self._encode_blocks(tokens,
-                                                                   step)
+            embedding_out, attention, hidden = self._encode_blocks(
+                tokens, self.pooled_rows(n))
 
         pooled = hidden[-1].mean(axis=1)
         logits = pooled @ self.params["cls.w"]

@@ -12,15 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError
-from .model import Adam, GradInjections, softmax
-
-# evaluate forwards at most this many sequences at once; that bounds the
-# trace it holds (forward bounds its own activations by running in
-# blocks).  A toy chunk stays one block on one thread: on two CPUs the
-# two chunks of the 256-sequence toy split take about 35 ms, one pooled
-# forward over the split about 25 ms
-EVAL_BATCH = 128
+from .errors import InputError, RangeError
+from .model import Adam, GradInjections, run_on_workers, softmax
 
 
 @dataclass(frozen=True)
@@ -101,14 +94,29 @@ def cross_entropy(logits, labels):
 
 
 def evaluate(model, tokens, labels):
-    """Fraction of sequences whose argmax logit matches the label."""
-    hits = 0
-    for start in range(0, len(tokens), EVAL_BATCH):
-        chunk = tokens[start:start + EVAL_BATCH]
-        trace = model.forward(chunk)
-        hits += int((np.argmax(trace.logits, axis=1)
-                     == labels[start:start + EVAL_BATCH]).sum())
-    return hits / len(tokens)
+    """Fraction of sequences whose argmax logit matches the label.
+
+    The split runs in chunks of model.pooled_rows sequences, each one
+    unblocked forward, side by side through run_on_workers: the chunks
+    alive at once hold at most one FORWARD_BLOCK of activations, and
+    the hit counts are summed.  InputError unless tokens is a non-empty
+    2-D batch and labels holds one label per sequence in one row.
+    """
+    tokens, labels = np.asarray(tokens), np.asarray(labels)
+    if tokens.ndim != 2 or tokens.size == 0:
+        raise InputError(f"tokens must be a non-empty 2-D batch, got "
+                         f"shape {tokens.shape}")
+    if labels.shape != (len(tokens),):
+        raise InputError(f"{len(tokens)} sequences need labels of shape "
+                         f"({len(tokens)},), got {labels.shape}")
+    rows = model.pooled_rows(tokens.shape[1])
+
+    def hits(start):
+        trace = model.forward(tokens[start:start + rows])
+        return int((np.argmax(trace.logits, axis=1)
+                    == labels[start:start + rows]).sum())
+
+    return sum(run_on_workers(hits, range(0, len(tokens), rows))) / len(tokens)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slimformer.errors import RangeError
+from slimformer.errors import InputError, RangeError
 from slimformer.model import TOY_CONFIG, init_model
 from slimformer.tasks import (
     TaskConfig,
@@ -93,3 +93,20 @@ class TestTraining:
         model = init_model(TOY_CONFIG, seed=4)
         acc = evaluate(model, task.tokens_val, task.labels_val)
         assert 0.0 <= acc <= 1.0
+
+    def test_evaluate_checks_labels(self):
+        """One label per sequence, at least one sequence: a short label
+        row no longer broadcasts over the last chunk, an empty split no
+        longer divides by zero."""
+        task = generate_task(TaskConfig(seed=6, train_count=32))
+        model = init_model(TOY_CONFIG, seed=4)
+        tokens, labels = task.tokens_val, task.labels_val
+        assert len(tokens) == 256
+        for bad in (labels[:129], labels[:255], np.append(labels, 0),
+                    labels[:, None], labels[0]):
+            with pytest.raises(InputError):
+                evaluate(model, tokens, bad)
+        with pytest.raises(InputError):
+            evaluate(model, tokens[:0], labels[:0])
+        with pytest.raises(InputError):
+            evaluate(model, tokens[0], labels[:1])
