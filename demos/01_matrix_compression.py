@@ -6,10 +6,8 @@ prints the storage and error numbers behind each.
 
 import numpy as np
 
-from slimformer import (apply_mask, compress_matrix, factor_ratio,
-                        factorize_layer, hybrid_ratio, magnitude_mask,
-                        ones_for_fraction, rank_for_ratio, reconstruct, svd,
-                        truncation_error)
+from slimformer import (factor_ratio, factorize_layer, keep_largest,
+                        ones_for_fraction, rank_for_ratio, svd)
 
 rng = np.random.default_rng(0)
 w = rng.normal(size=(64, 48))
@@ -17,9 +15,10 @@ w = rng.normal(size=(64, 48))
 # Full decomposition first. The reconstruction should be exact to
 # rounding, and the singular values come back sorted.
 res = svd(w)
-recon_err = np.max(np.abs(res.reconstruct() - w))
+s = res.singular_values
+recon_err = np.max(np.abs((res.u * s) @ res.v.T - w))
 print(f"matrix 64x48, full svd reconstruction error {recon_err:.2e}")
-print(f"singular values head {np.round(res.singular_values[:4], 3)}")
+print(f"singular values head {np.round(s[:4], 3)}")
 
 # Rank from a storage budget. A rank-r pair stores r*(m+n) numbers, so
 # half the storage of a 768x768 matrix means rank 192.
@@ -28,12 +27,12 @@ print(f"\nrank for 768x768 at half storage: "
 print(f"storage fraction of that pair: {factor_ratio(768, 768, 192)}")
 
 r = rank_for_ratio(64, 48, 0.3)
-pair = factorize_layer(w, 0.3)
-low = reconstruct(pair)
-direct = np.linalg.norm(w - low)
+pair = factorize_layer(w, r)
+direct = np.linalg.norm(w - pair.a @ pair.b.T)
 print(f"\nrank {r} keeps {factor_ratio(64, 48, r):.4f} of storage")
+# Eckart-Young: the error is the norm of the discarded spectrum.
 print(f"truncation error (from discarded spectrum) "
-      f"{truncation_error(res, r):.6f}")
+      f"{np.sqrt(np.sum(s[r:] ** 2)):.6f}")
 print(f"truncation error (direct)                  {direct:.6f}")
 
 # Eckart-Young in action: no random pair of the same rank does better.
@@ -46,8 +45,7 @@ print(f"best of 200 random rank-{r} pairs {min(challengers):.4f}, "
       f"svd {direct:.4f}")
 
 # Magnitude pruning keeps the largest entries; survivors are exact.
-mask = magnitude_mask(w, 0.3)
-pruned = apply_mask(w, mask)
+pruned, mask = keep_largest(w, ones_for_fraction(0.3, w.size))
 kept = int(mask.sum())
 print(f"\npruning at 0.3 keeps {kept} of {64 * 48} entries")
 print(f"pruned matrix error {np.linalg.norm(w - pruned):.4f}")
@@ -55,10 +53,10 @@ print(f"pruned matrix error {np.linalg.norm(w - pruned):.4f}")
 # The hybrid prunes the factors themselves. Storage multiplies:
 # p_svd * p_weight, the worked value from the ratio table.
 print(f"\nhybrid ratio at rank 192, pruning to 1/1.56: "
-      f"{hybrid_ratio(768, 768, 192, 1 / 1.56):.4f}")
-r = rank_for_ratio(64, 48, 0.4)
-(a, mask_a), (b, mask_b) = compress_matrix(
-    w, r, ones_for_fraction(0.5, 64 * r), ones_for_fraction(0.5, 48 * r))
+      f"{factor_ratio(768, 768, 192) / 1.56:.4f}")
+pair = factorize_layer(w, rank_for_ratio(64, 48, 0.4))
+a, mask_a = keep_largest(pair.a, ones_for_fraction(0.5, pair.a.size))
+b, mask_b = keep_largest(pair.b, ones_for_fraction(0.5, pair.b.size))
 stored = int(mask_a.sum() + mask_b.sum())
 print(f"hybrid at (0.4, 0.5): {stored} stored numbers, "
       f"{stored / (64 * 48):.4f} of dense")

@@ -16,14 +16,13 @@ from .budget import (CompressionPlan, allocate, implied_overall, load_plan,
 from .distill import (DistillConfig, distill_injections, distill_step,
                       mse_loss, prediction_loss, total_distill_loss)
 from .factorize import (LowRankPair, factor_ratio, factorize_layer,
-                        rank_for_ratio, reconstruct)
-from .hybrid import compress_matrix, hybrid_ratio
+                        rank_for_ratio)
 from .model import (TOY_CONFIG, Adam, EncoderModel, ModelConfig, init_model,
                     load_model, save_model, truncated_config_for_budget)
 from .pipeline import (budget_sequence, compress_model, interpolated_plan,
                        one_shot_compress, record_curve, run_pipeline)
-from .prune import apply_mask, magnitude_mask, ones_for_fraction, topk_mask
-from .svd import SvdResult, svd, truncate, truncation_error
+from .prune import keep_largest, ones_for_fraction, topk_mask
+from .svd import SvdResult, svd
 from .tasks import (SyntheticTask, TaskConfig, evaluate, generate_task,
                     train_classifier)
 from .tensor import ParamBundle, load_bundle, save_bundle

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, RangeError, ShapeError
-from .factorize import factorize_layer, rank_for_ratio, reconstruct
-from .hybrid import compress_matrix
-from .prune import apply_mask, magnitude_mask, ones_for_fraction
+from .factorize import factorize_layer, rank_for_ratio
+from .prune import keep_largest, ones_for_fraction
 
 MODES = ("prune", "svd", "hybrid")
 
@@ -48,39 +47,39 @@ def bias_matrix(original, compressed):
 def compressed_matrix(w, mode, retain, split=None):
     """One-shot dense realization of w under the named scheme.
 
-    A retained fraction of 1 skips the stage entirely, so every mode
-    returns the matrix unchanged.  The hybrid split defaults to pruning
-    half the factor entries, mirroring the reference configuration
-    (retain 0.2 from factorization to 0.4 then pruning to 0.5 of that).
+    Each mode is a split (svd fraction, prune fraction), prune being
+    (1, retain) and svd (retain, 1).  A retained fraction of 1 skips
+    the stage entirely, so every mode returns the matrix unchanged.
+    The hybrid split defaults to pruning half the factor entries,
+    mirroring the reference configuration (retain 0.2 from
+    factorization to 0.4 then pruning to 0.5 of that).
     """
     if not 0.0 < retain <= 1.0:
         raise RangeError(f"retain must be in (0, 1], got {retain}")
     if mode == "prune":
-        return apply_mask(w, magnitude_mask(w, retain))
-    if mode == "svd":
-        if retain == 1.0:
-            return w
-        return reconstruct(factorize_layer(w, retain))
-    if mode == "hybrid":
-        if split is None:
-            split = (1.0, 1.0) if retain == 1.0 else (2.0 * retain, 0.5)
-        svd_f, prune_f = split
-        if not (0.0 < svd_f <= 1.0 and 0.0 < prune_f <= 1.0):
-            raise RangeError(f"infeasible split {split} for retain {retain}")
-        if abs(svd_f * prune_f - retain) > 1e-9:
-            raise RangeError(
-                f"split {split} multiplies to {svd_f * prune_f}, "
-                f"not retain {retain}"
-            )
-        if svd_f == 1.0:
-            return apply_mask(w, magnitude_mask(w, prune_f))
-        m, n = w.shape
-        r = rank_for_ratio(m, n, svd_f)
-        (a, _), (b, _) = compress_matrix(
-            w, r, ones_for_fraction(prune_f, m * r),
-            ones_for_fraction(prune_f, n * r))
-        return a @ b.T
-    raise InputError(f"unknown mode {mode!r}, expected one of {MODES}")
+        split = (1.0, retain)
+    elif mode == "svd":
+        split = (retain, 1.0)
+    elif mode != "hybrid":
+        raise InputError(f"unknown mode {mode!r}, expected one of {MODES}")
+    elif split is None:
+        split = (1.0, 1.0) if retain == 1.0 else (2.0 * retain, 0.5)
+    svd_f, prune_f = split
+    if not (0.0 < svd_f <= 1.0 and 0.0 < prune_f <= 1.0):
+        raise RangeError(f"infeasible split {split} for retain {retain}")
+    if abs(svd_f * prune_f - retain) > 1e-9:
+        raise RangeError(
+            f"split {split} multiplies to {svd_f * prune_f}, "
+            f"not retain {retain}"
+        )
+
+    def prune(arr):
+        return keep_largest(arr, ones_for_fraction(prune_f, arr.size))[0]
+
+    if svd_f == 1.0:
+        return prune(w)
+    pair = factorize_layer(w, rank_for_ratio(*w.shape, svd_f))
+    return prune(pair.a) @ prune(pair.b).T
 
 
 def bias_histogram(bias, mode, bins=101):

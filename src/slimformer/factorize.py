@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExpansionWarning, RangeError, ShapeError
-from .svd import svd, svd_product, truncate
+from .errors import ExpansionWarning, RangeError
+from .svd import svd, svd_product
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,6 @@ class LowRankPair:
     a: np.ndarray
     b: np.ndarray
     r: int
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise RangeError(f"rank must be >= 1, got {self.r}")
-        if self.a.shape[1] != self.r or self.b.shape[1] != self.r:
-            raise ShapeError(
-                f"factor widths {self.a.shape[1]} and {self.b.shape[1]} "
-                f"do not match rank {self.r}"
-            )
 
 
 def rank_for_ratio(m, n, p_svd):
@@ -58,11 +49,10 @@ def factor_ratio(m, n, r):
     return (m + n) * r / (m * n)
 
 
-def factorize_layer(w, p_svd=1.0, rank=None, b=None):
-    """Factor w into a LowRankPair at retained fraction p_svd.
+def factorize_layer(w, rank, b=None):
+    """Factor w into the LowRankPair of its top rank singular triples.
 
-    When rank is given it overrides the ratio-derived value.  With b
-    given, the matrix is the product w @ b.T of a pair (w: m x k,
+    With b given, the matrix is the product w @ b.T of a pair (w: m x k,
     b: n x k), decomposed by svd_product; a rank above k raises
     RangeError, since a pair cannot gain rank.  A pair that would store
     more parameters than the dense matrix raises ExpansionWarning but
@@ -70,27 +60,21 @@ def factorize_layer(w, p_svd=1.0, rank=None, b=None):
     silently.
     """
     m, n = w.shape if b is None else (w.shape[0], b.shape[0])
-    r = rank_for_ratio(m, n, p_svd) if rank is None else rank
-    ratio = factor_ratio(m, n, r)
+    ratio = factor_ratio(m, n, rank)
     if ratio > 1.0:
         warnings.warn(
-            f"rank {r} pair for {m}x{n} stores {ratio:.4f} "
+            f"rank {rank} pair for {m}x{n} stores {ratio:.4f} "
             "of the dense parameter count",
             ExpansionWarning,
             stacklevel=2,
         )
     if b is None:
         res = svd(w)
-    elif r > w.shape[1]:
-        raise RangeError(f"rank {r} is above the rank {w.shape[1]} of the "
-                         f"factor pair it would replace")
+    elif rank > w.shape[1]:
+        raise RangeError(f"rank {rank} is above the rank {w.shape[1]} of "
+                         f"the factor pair it would replace")
     else:
         res = svd_product(w, b)
-    res = truncate(res, r)
-    root = np.sqrt(res.singular_values)
-    return LowRankPair(a=res.u * root, b=res.v * root, r=r)
-
-
-def reconstruct(pair):
-    """Densify a pair back to a @ b.T."""
-    return pair.a @ pair.b.T
+    root = np.sqrt(res.singular_values[:rank])
+    return LowRankPair(a=res.u[:, :rank] * root, b=res.v[:, :rank] * root,
+                       r=rank)

@@ -25,9 +25,9 @@ import numpy as np
 from .budget import CompressionPlan, allocate
 from .distill import DistillConfig, distill_step
 from .errors import DivergenceError, NonFiniteError, RangeError
-from .hybrid import compress_matrix
+from .factorize import factorize_layer
 from .model import Adam, EncoderModel
-from .prune import topk_mask
+from .prune import keep_largest
 from .tasks import check_schedule, evaluate
 
 
@@ -97,10 +97,13 @@ def compress_model(model, plan):
     """Apply one allocation to the model's current weights.
 
     Returns the compressed student and the allocation that shaped it.
-    A slot to factorize is decomposed in the form the model holds it: a
-    dense matrix by svd, a factor pair through its core.  Only a factor
-    pair the allocation leaves dense or masked is multiplied out.
-    Factor halves whose mask would be all ones carry no mask (pure
+    Every array the student stores is one (key, array, ones) unit that
+    keeps its `ones` largest entries: a slot to factorize gives the two
+    halves of its pair, any other slot its matrix (every entry kept
+    when dense).  A slot to factorize is decomposed in the form the model
+    holds it: a dense matrix by svd, a factor pair through its core.
+    Only a factor pair the allocation leaves dense or masked is
+    multiplied out.  Arrays that keep every entry carry no mask (pure
     low-rank factorization, as for embedding matrices).  The model is
     only read: the student's constructor copies every array it is given.
     """
@@ -114,20 +117,16 @@ def compress_model(model, plan):
                 w, b = (model.params[k] for k in keys)
             else:
                 w, b = model.params[e.name], None
-            halves = compress_matrix(w, e.rank, e.ones_a, e.ones_b, b=b)
-            for half, (arr, mask) in zip(("a", "b"), halves):
-                key = f"{e.name}.{half}"
-                params[key] = arr
-                if mask is not None:
-                    masks[key] = mask
-            continue
-        w = model.effective_weight(e.name)
-        if e.kind == "dense" or e.ones == e.rows * e.cols:
-            params[e.name] = w
-            continue
-        mask = topk_mask(w, e.ones)
-        params[e.name] = w * mask
-        masks[e.name] = mask
+            pair = factorize_layer(w, e.rank, b=b)
+            units = ((f"{e.name}.a", pair.a, e.ones_a),
+                     (f"{e.name}.b", pair.b, e.ones_b))
+        else:
+            w = model.effective_weight(e.name)
+            units = ((e.name, w, e.ones if e.kind == "masked" else w.size),)
+        for key, arr, ones in units:
+            params[key], mask = keep_largest(arr, ones)
+            if mask is not None:
+                masks[key] = mask
     return EncoderModel(model.config, params, masks), alloc
 
 

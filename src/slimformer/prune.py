@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import RangeError, ShapeError
+from .errors import RangeError
 
 
 def ones_for_fraction(p_weight, n_total):
@@ -32,16 +32,10 @@ def topk_mask(w, k):
     return bits.reshape(w.shape)
 
 
-def magnitude_mask(w, p_weight):
-    """Mask keeping the k = round(p_weight * m * n) largest |w| entries."""
-    return topk_mask(w, ones_for_fraction(p_weight, w.size))
-
-
-def apply_mask(w, mask):
-    """Elementwise product; exact zeros where the mask is zero."""
-    if w.shape != mask.shape:
-        raise ShapeError(
-            f"mask shape {mask.shape} does not match matrix {w.shape}")
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise RangeError("mask entries must be exactly 0 or 1")
-    return w * mask
+def keep_largest(w, ones):
+    """(w * mask, mask) for the topk_mask of the `ones` largest |w|
+    entries, or (w, None) when ones is w.size.  w is only read."""
+    if ones == w.size:
+        return w, None
+    mask = topk_mask(w, ones)
+    return w * mask, mask

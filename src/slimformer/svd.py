@@ -1,4 +1,4 @@
-"""One-sided Jacobi singular value decomposition and rank truncation.
+"""One-sided Jacobi singular value decomposition.
 
 The decomposition W = U diag(s) V^T is computed by orthogonalizing the
 columns of W with plane rotations.  Each sweep visits every column pair once
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import RangeError, SvdConvergenceError
+from .errors import SvdConvergenceError
 
 COHERENCE_TOL = 1e-12
 SWEEP_CAP = 60
@@ -43,14 +43,6 @@ class SvdResult:
     u: np.ndarray
     singular_values: np.ndarray
     v: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return len(self.singular_values)
-
-    def reconstruct(self) -> np.ndarray:
-        """U diag(s) V^T."""
-        return (self.u * self.singular_values) @ self.v.T
 
 
 def svd(w: np.ndarray) -> SvdResult:
@@ -81,23 +73,6 @@ def svd_product(a: np.ndarray, b: np.ndarray) -> SvdResult:
     u, v = _fix_signs(qa @ core.u, qb @ core.v)
     return SvdResult(np.ascontiguousarray(u), core.singular_values,
                      np.ascontiguousarray(v))
-
-
-def truncate(s: SvdResult, r: int) -> SvdResult:
-    """Keep the top r singular triples (U and V as column slices)."""
-    _check_rank(s, r)
-    return SvdResult(s.u[:, :r], s.singular_values[:r].copy(), s.v[:, :r])
-
-
-def truncation_error(s: SvdResult, r: int) -> float:
-    """Frobenius error of the best rank-r approximation: sqrt(sum of discarded s_i^2)."""
-    _check_rank(s, r)
-    return float(np.sqrt(np.sum(s.singular_values[r:] ** 2)))
-
-
-def _check_rank(s: SvdResult, r: int) -> None:
-    if not 1 <= r <= s.p:
-        raise RangeError(f"rank {r} outside valid range [1, {s.p}]")
 
 
 def _jacobi(a: np.ndarray):

@@ -19,11 +19,10 @@ from slimformer.distill import (DistillConfig, distill_injections,
                                 distill_step, prediction_loss,
                                 total_distill_loss)
 from slimformer.factorize import factor_ratio, rank_for_ratio
-from slimformer.hybrid import hybrid_ratio
 from slimformer.model import (TOY_CONFIG, Adam, GradInjections, init_model,
                               truncated_config_for_budget)
 from slimformer.pipeline import one_shot_compress, run_pipeline
-from slimformer.svd import svd, truncate, truncation_error
+from slimformer.svd import svd
 from slimformer.tasks import (TaskConfig, evaluate, generate_task,
                               train_classifier)
 
@@ -48,17 +47,19 @@ def test_01_svd_correctness():
         w = rng.normal(size=(m, n))
         res = svd(w)
         u, s, v = res.u, res.singular_values, res.v
+        p = len(s)
         worst_orth = max(
             worst_orth,
-            float(np.max(np.abs(u.T @ u - np.eye(res.p)))),
-            float(np.max(np.abs(v.T @ v - np.eye(res.p)))),
+            float(np.max(np.abs(u.T @ u - np.eye(p)))),
+            float(np.max(np.abs(v.T @ v - np.eye(p)))),
         )
         worst_recon = max(worst_recon, float(np.max(np.abs(
-            res.reconstruct() - w))))
+            (u * s) @ v.T - w))))
 
-        r = int(rng.integers(1, res.p + 1))
-        direct = np.linalg.norm(w - truncate(res, r).reconstruct())
-        best = truncation_error(res, r)
+        r = int(rng.integers(1, p + 1))
+        # U_r S_r V_r^T against the norm of the discarded spectrum
+        direct = np.linalg.norm(w - (u[:, :r] * s[:r]) @ v[:, :r].T)
+        best = float(np.sqrt(np.sum(s[r:] ** 2)))
         worst_trunc = max(worst_trunc, abs(direct - best))
         for _ in range(100):
             a = rng.normal(size=(m, r))
@@ -78,7 +79,7 @@ def test_01_svd_correctness():
 def test_02_ratio_algebra():
     r = rank_for_ratio(768, 768, 0.5)
     ratio = factor_ratio(768, 768, 192)
-    hybrid = hybrid_ratio(768, 768, 192, 1.0 / 1.56)
+    hybrid = factor_ratio(768, 768, 192) / 1.56
     ok = (r == 192 and round(ratio, 4) == 0.5
           and round(hybrid, 4) == 0.3205)
     _line(2, "ratio algebra", ok,

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slimformer.budget import (
     CompressionPlan,
@@ -16,6 +19,7 @@ from slimformer.budget import (
     transformer_shapes,
 )
 from slimformer.errors import InfeasibleBudgetError, InputError, RangeError
+from slimformer.tensor import GROUPS
 
 TOY = transformer_shapes(64, 32, 2, 64, 16, 3)
 REFERENCE = transformer_shapes(30522, 768, 12, 3072, 512, 3,
@@ -238,3 +242,44 @@ def test_plan_fraction_validation():
         CompressionPlan(0.4, 0.5, 1.5)
     with pytest.raises(RangeError):
         CompressionPlan(0.4, 0.5, 0.5, delta=1.0)
+
+
+@st.composite
+def shape_tables(draw):
+    """1 to 8 entries of any group, each dimension in [1, 40]."""
+    return ShapeTable([(f"w{i}", draw(st.sampled_from(GROUPS)),
+                        draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+                       for i in range(draw(st.integers(1, 8)))])
+
+
+# exactly 1 skips a stage, so it is drawn on its own as well
+unit_fractions = st.one_of(st.just(1.0),
+                           st.floats(0.0, 1.0, exclude_min=True))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(shape_tables(), unit_fractions, unit_fractions, unit_fractions)
+def test_allocation_lands_on_target_or_notes_why(shapes, p_overall, p_embd,
+                                                 p_svd):
+    """Any table and plan either raise InfeasibleBudgetError or give
+    exact counts: round(P * total) retained, or fewer with a note, and
+    every factored pair within its matrix."""
+    try:
+        alloc = allocate(shapes, CompressionPlan(p_overall, p_embd, p_svd))
+    except InfeasibleBudgetError:
+        return
+    target = math.floor(p_overall * shapes.group_total() + 0.5)
+    assert alloc.target_count == target
+    assert alloc.retained_count == sum(e.retained for e in alloc.entries)
+    assert alloc.retained_count == target or (
+        alloc.retained_count < target and alloc.notes)
+    assert [(e.name, e.rows, e.cols) for e in alloc.entries] == [
+        (e.name, e.rows, e.cols) for e in shapes]
+    for e in alloc.entries:
+        if e.kind == "factored":
+            assert 1 <= e.rank <= min(e.rows, e.cols)
+            assert 0 <= e.ones_a <= e.rows * e.rank
+            assert 0 <= e.ones_b <= e.cols * e.rank
+            assert (e.rows + e.cols) * e.rank <= e.rows * e.cols
+        elif e.kind == "masked":
+            assert 0 <= e.ones <= e.rows * e.cols

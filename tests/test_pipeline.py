@@ -10,6 +10,7 @@ import pytest
 
 from slimformer.budget import solve_budget
 from slimformer.errors import DivergenceError, RangeError
+from slimformer.factorize import factorize_layer
 from slimformer.model import TOY_CONFIG, EncoderModel, init_model
 from slimformer.pipeline import (
     CURVE_COLUMNS,
@@ -22,6 +23,7 @@ from slimformer.pipeline import (
     record_curve,
     run_pipeline,
 )
+from slimformer.prune import topk_mask
 from slimformer.tasks import TaskConfig, generate_task
 
 TOY_TOTAL = 19747
@@ -165,6 +167,47 @@ class TestCompressModel:
                     <= 1e-9 * np.linalg.norm(w)), e.name
         for key, mask in via_dense.masks.items():
             assert np.array_equal(via_core.masks[key], mask), key
+
+
+    @pytest.mark.parametrize("held", ["dense", "factored"])
+    def test_arrays_are_factorize_then_prune(self, held):
+        """Each stored array is exactly the composition: a factored entry
+        keeps the ones_a / ones_b largest entries of the halves of
+        factorize_layer(slot as held, rank); a masked entry the ones
+        largest of the effective weight; a dense entry is the weight."""
+        model = init_model(TOY_CONFIG, seed=10)
+        if held == "factored":
+            model, _ = compress_model(model, interpolated_plan(toy_plan(),
+                                                               0.8))
+        for plan in (toy_plan(), replace(toy_plan(), p_svd=1.0)):
+            student, alloc = compress_model(model, plan)
+            want, masks = {}, {}
+            for e in alloc.entries:
+                if e.kind != "factored":
+                    w = model.effective_weight(e.name)
+                    want[e.name] = w
+                    if e.kind == "masked" and e.ones < w.size:
+                        masks[e.name] = topk_mask(w, e.ones)
+                        want[e.name] = w * masks[e.name]
+                    continue
+                kind, keys = model.slots[e.name]
+                held_as = [model.params[k] for k in keys]  # w, or a and b
+                pair = factorize_layer(held_as[0], e.rank,
+                                       b=held_as[1] if kind == "factored"
+                                       else None)
+                for key, arr, ones in ((f"{e.name}.a", pair.a, e.ones_a),
+                                       (f"{e.name}.b", pair.b, e.ones_b)):
+                    want[key] = arr
+                    if ones < arr.size:
+                        masks[key] = topk_mask(arr, ones)
+                        want[key] = arr * masks[key]
+            assert any(e.kind == "masked" for e in alloc.entries) == (
+                plan.p_svd == 1.0)
+            for got, expected in ((student.params, want),
+                                  (student.masks, masks)):
+                assert got.keys() == expected.keys()
+                for key, arr in expected.items():
+                    assert got[key].tobytes() == arr.tobytes(), key
 
 
 class TestOneShot:

@@ -7,8 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from slimformer.errors import ExpansionWarning, RangeError, SvdConvergenceError
 from slimformer.factorize import factorize_layer
-from slimformer.svd import (SvdResult, svd, svd_product, truncate,
-                            truncation_error)
+from slimformer.svd import SvdResult, svd, svd_product
 
 
 def _check_result(w: np.ndarray, res: SvdResult, tol=1e-8):
@@ -92,35 +91,42 @@ def test_determinism():
 
 
 def test_truncate_full_rank_is_identity():
-    res = svd(np.diag([3.0, 2.0, 1.0]))
-    t = truncate(res, 3)
-    assert np.array_equal(t.singular_values, res.singular_values)
-    assert np.array_equal(t.u, res.u) and np.array_equal(t.v, res.v)
+    """At full rank factorize_layer keeps every triple: a = U sqrt(S)."""
+    w = np.diag([3.0, 2.0, 1.0])
+    res = svd(w)
+    with pytest.warns(ExpansionWarning):  # 6 stored per 3 dense, per rank
+        pair = factorize_layer(w, 3)
+    root = np.sqrt(res.singular_values)
+    assert np.array_equal(pair.a, res.u * root)
+    assert np.array_equal(pair.b, res.v * root)
 
 
 def test_truncate_keeps_top_values():
-    res = svd(np.diag([3.0, 2.0, 1.0]))
-    t = truncate(res, 1)
-    assert t.singular_values.tolist() == [3.0]
-    assert t.u.shape == (3, 1)
-    assert t.v.shape == (3, 1)
+    pair = factorize_layer(np.diag([3.0, 2.0, 1.0]), 1)
+    assert pair.r == 1
+    assert pair.a.shape == (3, 1) and pair.b.shape == (3, 1)
+    # the top triple of diag(3, 2, 1): s = 3 on e_1
+    assert np.allclose(np.abs(pair.a[:, 0]), [np.sqrt(3.0), 0.0, 0.0],
+                       rtol=0.0, atol=1e-15)
+    assert np.array_equal(pair.a, pair.b)
 
 
 def test_truncate_range_errors():
-    res = svd(np.diag([3.0, 2.0, 1.0]))
+    w = np.diag([3.0, 2.0, 1.0])
     with pytest.raises(RangeError):
-        truncate(res, 0)
+        factorize_layer(w, 0)
     with pytest.raises(RangeError):
-        truncate(res, 4)
-    with pytest.raises(RangeError):
-        truncation_error(res, 0)
+        factorize_layer(w, 4)
 
 
 def test_truncation_error_closed_forms():
-    res = svd(np.diag([3.0, 2.0, 1.0]))
-    assert truncation_error(res, 3) == 0.0
-    assert abs(truncation_error(res, 1) - np.sqrt(5.0)) < 1e-12
-    assert abs(truncation_error(res, 2) - 1.0) < 1e-12
+    """||w - a b^T|| is the norm of the discarded spectrum."""
+    w = np.diag([3.0, 2.0, 1.0])
+    for r, want in ((1, np.sqrt(5.0)), (2, 1.0), (3, 0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExpansionWarning)
+            pair = factorize_layer(w, r)
+        assert abs(np.linalg.norm(w - pair.a @ pair.b.T) - want) < 1e-12
 
 
 def test_eckart_young_against_random_factor_oracle():
@@ -132,10 +138,10 @@ def test_eckart_young_against_random_factor_oracle():
         w = rng.normal(size=(m, n))
         res = svd(w)
         r = int(rng.integers(1, min(m, n) + 1))
-        t = truncate(res, r)
-        approx = (t.u * t.singular_values) @ t.v.T
+        s = res.singular_values
+        approx = (res.u[:, :r] * s[:r]) @ res.v[:, :r].T
         err = np.linalg.norm(w - approx)
-        assert abs(err - truncation_error(res, r)) < 1e-8
+        assert abs(err - np.sqrt(np.sum(s[r:] ** 2))) < 1e-8
         for _ in range(100):
             a = rng.normal(size=(m, r))
             b = rng.normal(size=(n, r))
@@ -200,7 +206,7 @@ def test_svd_product_matches_svd_of_product(pair):
     res = svd_product(a, b)
     dense = svd(w)
     scale = max(dense.singular_values[0], 1e-300)
-    assert res.p == r
+    assert len(res.singular_values) == r
     assert res.u.shape == (a.shape[0], r) and res.v.shape == (b.shape[0], r)
     assert res.u.flags.c_contiguous and res.v.flags.c_contiguous
     assert np.all(np.diff(res.singular_values) <= 0.0)
@@ -208,10 +214,12 @@ def test_svd_product_matches_svd_of_product(pair):
                          - dense.singular_values[:r])) <= 1e-10 * scale
     assert np.linalg.norm(res.u.T @ res.u - np.eye(r)) < 1e-10
     assert np.linalg.norm(res.v.T @ res.v - np.eye(r)) < 1e-10
-    assert np.linalg.norm(res.reconstruct() - w) <= 1e-10 * scale * r
+    s = res.singular_values
+    assert np.linalg.norm((res.u * s) @ res.v.T - w) <= 1e-10 * scale * r
     # the rank-k truncation is a best rank-k approximation of a @ b.T
-    err = np.linalg.norm(w - truncate(res, k).reconstruct())
-    assert abs(err - truncation_error(dense, k)) <= 1e-9 * scale * r
+    err = np.linalg.norm(w - (res.u[:, :k] * s[:k]) @ res.v[:, :k].T)
+    best = np.sqrt(np.sum(dense.singular_values[k:] ** 2))
+    assert abs(err - best) <= 1e-9 * scale * r
     again = svd_product(a.copy(), b.copy())
     for x, y in ((res.u, again.u), (res.v, again.v),
                  (res.singular_values, again.singular_values)):
@@ -250,7 +258,7 @@ def test_svd_product_keeps_at_most_the_smaller_side():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
     res = svd_product(a, b)
-    assert res.p == 3
+    assert len(res.singular_values) == 3
     assert np.allclose(res.singular_values, svd(a @ b.T).singular_values,
                        rtol=0.0, atol=1e-12 * res.singular_values[0])
 
@@ -260,8 +268,7 @@ def test_rank_above_the_pair_is_range_error():
     raises RangeError rather than padding with zeros."""
     rng = np.random.default_rng(6)
     a, b = rng.normal(size=(12, 3)), rng.normal(size=(10, 3))
-    with pytest.raises(RangeError):
-        truncate(svd_product(a, b), 4)
+    assert len(svd_product(a, b).singular_values) == 3
     with pytest.raises(RangeError, match="above the rank 3"):
         factorize_layer(a, rank=4, b=b)
     assert factorize_layer(a, rank=3, b=b).r == 3

@@ -6,9 +6,12 @@ machine may have cores) and lets threads switch as often as the
 interpreter allows.
 """
 
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,3 +362,60 @@ class TestPooledDistillStep:
             distill_step(student, teacher, tokens, DistillConfig(),
                          Adam(1e-3))
         assert threading.active_count() == before
+
+
+# Prints one SHA-256 over a blocked no-cache forward trace, a cached
+# forward, a one-shot student and that student compressed again (so
+# through svd_product).  argv[1] is model.WORKERS.
+FINGERPRINT = """
+import hashlib, sys
+from dataclasses import replace
+import numpy as np
+import slimformer.model as model
+from slimformer import (ModelConfig, compress_model, init_model,
+                        one_shot_compress, solve_budget)
+model.WORKERS = int(sys.argv[1])
+cfg = ModelConfig(vocab_size=64, embed_dim=64, num_layers=2, num_heads=4,
+                  ffn_dim=256, max_seq_len=16, num_classes=3)
+tokens = np.random.default_rng(0).integers(0, 64, size=(64, 16))
+assert 64 * 16 * 256 > model.FORWARD_BLOCK  # the forward runs blocked
+teacher = init_model(cfg, seed=0)
+plan = solve_budget(cfg.shapes(), 0.4, p_embd=0.55, p_svd=0.45)
+student = one_shot_compress(teacher, plan)
+again, _ = compress_model(student, replace(plan, p_overall=0.3))
+digest = hashlib.sha256()
+def add(trace):
+    for arr in (trace.embedding_out, *trace.attention, *trace.hidden,
+                trace.logits):
+        digest.update(arr.tobytes())
+add(teacher.forward(tokens))
+add(student.forward(tokens[:8], with_cache=True)[0])
+for m in (student, again):
+    for store in (m.params, m.masks):
+        for key in sorted(store):
+            digest.update(key.encode() + store[key].tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_same_bytes_across_blas_and_worker_threads():
+    """One BLAS thread or OpenBLAS's default, one worker or two: the
+    blocked forward, a cached forward and two rounds of compression
+    give the same bytes in every configuration."""
+    root = Path(__file__).resolve().parent.parent
+    digests = {}
+    for blas in ("1", None):
+        for workers in (1, 2):
+            env = {k: v for k, v in os.environ.items() if k not in (
+                "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                "OMP_NUM_THREADS")}
+            if blas is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+            done = subprocess.run(
+                [sys.executable, "-c", FINGERPRINT, str(workers)], env=env,
+                capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests[blas, workers] = done.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
