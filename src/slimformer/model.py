@@ -10,10 +10,13 @@ of the teacher's forward multiply-adds at toy width and 0.46 at width
 (0.026 s against the teacher's 0.025 s on 256x16 tokens, two CPUs and
 one BLAS thread each).
 
-Parameters are plain writable float64 arrays owned by the model.
+Parameters are plain writable float64 arrays owned by the model, and
+masks are bool arrays (prune's mask type), an eighth of a float64
+array's bytes: a P=0.4 student holds about half its teacher's bytes.
 Their structure (which keys form which slot, shapes, binary masks) is
 checked when a model is built; their values (finite entries) are checked
-where they enter as a bundle, by ParamBundle and load_bundle.
+where they enter as a bundle, by ParamBundle and load_bundle.  Bundles
+store masks as float64 ones and zeros: to_bundle and from_bundle convert.
 
 forward exposes a trace at the four supervision points (embedding
 output, per-layer attention maps, per-layer hidden states, logits).  It
@@ -275,30 +278,36 @@ class EncoderModel:
     passed in, so the model never aliases its caller): a weight slot `w` is
     either a single key "w" (dense, natural shape; vectors are 1-D) or
     the pair "w.a"/"w.b" (factored halves, m x r and n x r).  masks maps
-    a subset of those keys to binary arrays; masked entries are zero and
-    frozen.  slots maps each slot name to its (kind, keys): ("dense",
-    ("w",)) or ("factored", ("w.a", "w.b")).  Construction raises
-    InputError for any params/masks that do not fit that layout.
+    a subset of those keys to bool arrays, True where the entry is kept;
+    masked entries are zero and frozen.  The constructor takes masks as
+    bool arrays or as numeric arrays of zeros and ones (bundles hold
+    float64 masks) and stores mask == 1.  slots maps each slot name to
+    its (kind, keys): ("dense", ("w",)) or ("factored", ("w.a", "w.b")).
+    Construction raises InputError for any params/masks that do not fit
+    that layout.
     """
 
     def __init__(self, config, params, masks=None):
         self.config = config
         self.params = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
-        self.masks = {k: np.array(v, dtype=np.float64)
-                      for k, v in (masks or {}).items()}
         self.slots = {e.name: self._slot(e) for e in config.shapes()}
         claimed = {key for _, keys in self.slots.values() for key in keys}
         unclaimed = sorted(set(self.params) - claimed)
         if unclaimed:
             raise InputError(f"parameters {unclaimed} belong to no slot")
-        for key, mask in self.masks.items():
+        self.masks = {}
+        for key, mask in (masks or {}).items():
+            mask = np.asarray(mask)
             if key not in self.params:
                 raise InputError(f"mask for unknown parameter {key!r}")
             if mask.shape != self.params[key].shape:
                 raise InputError(f"mask shape mismatch for {key!r}")
-            if not np.all((mask == 0.0) | (mask == 1.0)):
+            if not np.all((mask == 0) | (mask == 1)):
                 raise InputError(f"mask for {key!r} is not binary")
-            self.params[key] = self.params[key] * mask
+            # a new array, so the model never aliases its caller's mask
+            self.masks[key] = mask == 1
+            # the same bits as multiplying by 1.0 / 0.0
+            self.params[key] = self.params[key] * self.masks[key]
 
     def _slot(self, e):
         """(kind, keys) of one shape entry, with its arrays' shapes checked."""
@@ -328,10 +337,11 @@ class EncoderModel:
         return ("dense", (e.name,))
 
     def copy(self):
+        # the constructor stores mask == 1, a new bool array
         return EncoderModel(
             self.config,
             {k: v.copy() for k, v in self.params.items()},
-            {k: v.copy() for k, v in self.masks.items()},
+            self.masks,
         )
 
     def retained_count(self):
@@ -370,12 +380,23 @@ class EncoderModel:
             for key in self.slots[e.name][1]:
                 # vectors are stored as 1 x n bundle rows
                 entries.append((key, e.group, np.atleast_2d(self.params[key])))
+                # ParamBundle stores the bool mask as float64 1.0 / 0.0
                 if key in self.masks:
                     entries.append((f"{key}.mask", e.group, self.masks[key]))
         return ParamBundle(entries)
 
     @classmethod
     def from_bundle(cls, bundle, config):
+        """The model a bundle holds for config.  The shape table grows
+        with num_layers, so that is checked against the encoder layers
+        the bundle names before the table is built: a corrupt config
+        raises InputError instead of exhausting memory."""
+        layers = len({name.split(".", 1)[0] for name in bundle.names()
+                      if name.startswith("enc")})
+        if layers != config.num_layers:
+            raise InputError(f"config key 'num_layers' is "
+                             f"{config.num_layers}, but the bundle holds "
+                             f"{layers} encoder layers")
         params = {}
         masks = {}
         vector_slots = {e.name for e in config.shapes() if e.is_vector}
@@ -705,7 +726,11 @@ def load_model(path_base):
     base = str(path_base)
     config = load_config(base + ".config")
     bundle = load_bundle(base + ".bundle")
-    return EncoderModel.from_bundle(bundle, config)
+    try:
+        return EncoderModel.from_bundle(bundle, config)
+    except InputError as exc:
+        raise InputError(f"{base}.bundle does not fit {base}.config: "
+                         f"{exc}") from exc
 
 
 class Adam:

@@ -1,6 +1,9 @@
 """Magnitude pruning: binary masks that keep the largest weights.
 
-A mask is a float64 array of zeros and ones with its target's shape.
+A mask is a bool array with its target's shape, True where the weight
+is kept.  Multiplying by it gives the same bits as multiplying by a 1.0
+/ 0.0 float array, at an eighth of the bytes; bundle files still store
+masks as float64 ones and zeros, converted at the file boundary.
 """
 
 import math
@@ -27,8 +30,8 @@ def topk_mask(w, k):
     flat = np.abs(w).ravel()
     # stable sort on -|w| keeps row-major order among equal magnitudes
     order = np.argsort(-flat, kind="stable")
-    bits = np.zeros(flat.size)
-    bits[order[:k]] = 1.0
+    bits = np.zeros(flat.size, dtype=bool)
+    bits[order[:k]] = True
     return bits.reshape(w.shape)
 
 

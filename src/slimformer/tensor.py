@@ -110,22 +110,21 @@ def _frozen_copy(name: str, values) -> np.ndarray:
 def save_bundle(bundle: ParamBundle, path) -> None:
     """Write the manifest-plus-blob bundle format described in the module docs."""
     manifest_lines = [_MAGIC]
-    blobs = []
     offset = 0
+    # each frozen matrix is C-contiguous, so crc32 and write read its own
+    # buffer: the bytes of tobytes() without a second copy of the model
     for name, group, matrix in bundle.items():
-        raw = matrix.tobytes()
-        crc = zlib.crc32(raw) & 0xFFFFFFFF
+        crc = zlib.crc32(matrix) & 0xFFFFFFFF
         manifest_lines.append(
             f"entry {name} {group} {matrix.shape[0]} {matrix.shape[1]} {offset} {crc:08x}"
         )
-        blobs.append(raw)
-        offset += len(raw)
+        offset += matrix.nbytes
     manifest_lines.append(f"blob {offset}")
     header = ("\n".join(manifest_lines) + "\n").encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        for raw in blobs:
-            fh.write(raw)
+        for _, _, matrix in bundle.items():
+            fh.write(matrix)
 
 
 def load_bundle(path) -> ParamBundle:

@@ -2,6 +2,9 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 
 from slimformer.budget import (CompressionPlan, load_plan, pruning_fraction,
                                save_plan)
+import slimformer
 from slimformer.cli import main
 from slimformer.model import (TOY_CONFIG, init_model, load_model,
                               save_config, save_model)
@@ -426,6 +430,36 @@ class TestCheck:
                      "--plan", write_plan(tmp_path)])
         assert code == 4
         assert repr(line.split("=")[0]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "compress"])
+    def test_huge_num_layers_exits_4(self, tmp_path, teacher_path, command):
+        """A config naming far more layers than its bundle holds exits 4
+        naming the key, without building its shape table first.  The
+        CLI runs in a child process under a 1.5 GB address-space limit,
+        so a table that outgrows memory fails the test instead of the
+        machine."""
+        config = tmp_path / "teacher.config"
+        text = config.read_text(encoding="ascii")
+        assert "num_layers=2\n" in text
+        config.write_text(text.replace("num_layers=2\n",
+                                       "num_layers=99999999999\n"),
+                          encoding="ascii")
+        argv = [command, "--bundle", teacher_path,
+                "--plan", write_plan(tmp_path)]
+        if command == "compress":
+            argv += ["--out", str(tmp_path / "s")]
+        limit = 1500 * 2 ** 20
+        child = ("import resource, sys\n"
+                 f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+                 "from slimformer.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(slimformer.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "'num_layers'" in proc.stderr
 
     def test_missing_plan(self, tmp_path, teacher_path):
         code = main(["check", "--bundle", teacher_path,

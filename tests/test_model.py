@@ -24,6 +24,7 @@ from scipy.special import erf
 from slimformer.budget import transformer_shapes
 from slimformer.errors import (BundleFormatError, ExpansionWarning,
                                InputError, RangeError)
+from slimformer.budget import solve_budget
 from slimformer.factorize import factorize_layer
 from slimformer.model import (
     FORWARD_BLOCK,
@@ -45,6 +46,7 @@ from slimformer.model import (
     softmax,
     truncated_config_for_budget,
 )
+from slimformer.pipeline import one_shot_compress
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -823,3 +825,91 @@ class TestAdam:
         b = init_model(TOY_CONFIG, seed=5)
         for key in a.params:
             assert np.array_equal(a.params[key], b.params[key])
+
+
+def resident_bytes(model):
+    return (sum(v.nbytes for v in model.params.values())
+            + sum(m.nbytes for m in model.masks.values()))
+
+
+class TestMaskContract:
+    """Masks live in memory as bool arrays, whatever form they came in:
+    bool, float 0/1, or a bundle's float64 entries."""
+
+    @staticmethod
+    def variants(model, tmp_path):
+        cfg = model.config
+        base = tmp_path / "m"
+        save_model(model, base)
+        return {
+            "bool": EncoderModel(cfg, model.params,
+                                 {k: m.astype(bool)
+                                  for k, m in model.masks.items()}),
+            "float": EncoderModel(cfg, model.params,
+                                  {k: m.astype(np.float64)
+                                   for k, m in model.masks.items()}),
+            "bundle": load_model(base),
+        }
+
+    @pytest.mark.parametrize("kind", SLOT_KINDS)
+    def test_mask_forms_train_alike(self, tmp_path, kind):
+        """Equal params and bool masks, then byte-identical forward
+        traces, gradients and three Adam steps; masked entries stay
+        exactly zero throughout."""
+        cfg = small_config()
+        source = slot_kind_model(cfg, kind, seed=40)
+        models = self.variants(source, tmp_path)
+        tokens = rand_tokens(np.random.default_rng(41), cfg, batch=4)
+        _, inj = trace_loss_coeffs(source, tokens, seed=42)
+        for name, model in models.items():
+            assert model.masks.keys() == source.masks.keys(), name
+            for key, mask in model.masks.items():
+                assert mask.dtype == np.bool_, (name, key)
+                assert mask.tobytes() == source.masks[key].tobytes()
+                # the bits of a 1.0 / 0.0 multiply
+                assert (model.params[key].tobytes()
+                        == (source.params[key]
+                            * mask.astype(np.float64)).tobytes())
+        optimizers = {name: Adam(lr=1e-2) for name in models}
+        for step in range(4):
+            seen = {}
+            for name, model in models.items():
+                trace, cache = model.forward(tokens, with_cache=True)
+                grads = model.backward(cache, inj)
+                seen[name] = (trace_bytes(trace),
+                              {k: g.tobytes() for k, g in grads.items()},
+                              {k: p.tobytes()
+                               for k, p in model.params.items()})
+                for key, mask in model.masks.items():
+                    assert np.all(model.params[key][~mask] == 0.0)
+                    assert np.all(grads[key][~mask] == 0.0)
+                if step < 3:
+                    optimizers[name].step(model, grads)
+            assert seen["bool"] == seen["float"] == seen["bundle"], step
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, 1.0 + 1e-12])
+    def test_non_binary_numeric_mask_rejected(self, value):
+        cfg = small_config()
+        model = init_model(cfg, seed=43)
+        mask = np.ones_like(model.params["enc0.ffn.w1"])
+        mask[1, 2] = value
+        with pytest.raises(InputError, match="not binary"):
+            EncoderModel(cfg, model.params, {"enc0.ffn.w1": mask})
+
+    def test_copy_keeps_bool_masks_unaliased(self):
+        model = slot_kind_model(small_config(), "masked", seed=44)
+        twin = model.copy()
+        for key, mask in model.masks.items():
+            assert twin.masks[key].dtype == np.bool_
+            assert twin.masks[key] is not mask
+            assert np.array_equal(twin.masks[key], mask)
+
+    def test_compressed_student_holds_about_half_the_bytes(self):
+        """A toy P=0.4 student's params plus masks take at most 0.55 of
+        its teacher's bytes (0.51 with bool masks, 0.82 with float64)."""
+        teacher = init_model(TOY_CONFIG, seed=45)
+        plan = solve_budget(TOY_CONFIG.shapes(), 0.4, p_embd=0.55,
+                            p_svd=0.45)
+        student = one_shot_compress(teacher, plan)
+        assert student.masks
+        assert resident_bytes(student) <= 0.55 * resident_bytes(teacher)

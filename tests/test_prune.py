@@ -186,3 +186,18 @@ class TestTopkMask:
             topk_mask(w, -1)
         with pytest.raises(RangeError):
             topk_mask(w, 5)
+
+    def test_bool_mask_with_k_true_entries(self):
+        """The mask is a bool array holding exactly k True entries, ties
+        included, and multiplying by it gives the bits of multiplying by
+        its 1.0 / 0.0 float form."""
+        rng = np.random.default_rng(2)
+        for _ in range(40):
+            m, n = (int(d) for d in rng.integers(1, 9, size=2))
+            # integer magnitudes of both signs force ties
+            w = rng.integers(-3, 4, size=(m, n)).astype(float)
+            k = int(rng.integers(0, m * n + 1))
+            mask = topk_mask(w, k)
+            assert mask.dtype == np.bool_ and mask.shape == w.shape
+            assert int(np.count_nonzero(mask)) == k
+            assert (w * mask).tobytes() == (w * mask.astype(float)).tobytes()
