@@ -25,6 +25,6 @@ from .prune import keep_largest, ones_for_fraction, topk_mask
 from .svd import SvdResult, svd
 from .tasks import (SyntheticTask, TaskConfig, evaluate, generate_task,
                     train_classifier)
-from .tensor import ParamBundle, load_bundle, save_bundle
+from .tensor import load_bundle, save_bundle
 
 __version__ = "0.1.0"

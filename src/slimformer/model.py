@@ -15,8 +15,10 @@ masks are bool arrays (prune's mask type), an eighth of a float64
 array's bytes: a P=0.4 student holds about half its teacher's bytes.
 Their structure (which keys form which slot, shapes, binary masks) is
 checked when a model is built; their values (finite entries) are checked
-where they enter as a bundle, by ParamBundle and load_bundle.  Bundles
-store masks as float64 ones and zeros: to_bundle and from_bundle convert.
+at the file boundary, by tensor.save_bundle and tensor.load_bundle.  A
+bundle is the model's own arrays as (name, group, matrix) entries, with
+vectors and their masks as 1 x n views; the file stores masks as
+float64 ones and zeros, converted by save_bundle and the constructor.
 
 forward exposes a trace at the four supervision points (embedding
 output, per-layer attention maps, per-layer hidden states, logits).  It
@@ -55,7 +57,7 @@ from scipy.special import erf
 
 from .budget import transformer_shapes
 from .errors import InputError, NonFiniteError, RangeError
-from .tensor import ParamBundle, load_record, save_record
+from .tensor import load_bundle, load_record, save_bundle, save_record
 
 LN_EPS = 1e-5
 INIT_STD = 0.05
@@ -274,14 +276,15 @@ def _flat(x):
 class EncoderModel:
     """Mutable parameter store plus forward/backward for one config.
 
-    params maps array keys to float64 ndarrays (copies of the arrays
-    passed in, so the model never aliases its caller): a weight slot `w` is
-    either a single key "w" (dense, natural shape; vectors are 1-D) or
-    the pair "w.a"/"w.b" (factored halves, m x r and n x r).  masks maps
-    a subset of those keys to bool arrays, True where the entry is kept;
-    masked entries are zero and frozen.  The constructor takes masks as
-    bool arrays or as numeric arrays of zeros and ones (bundles hold
-    float64 masks) and stores mask == 1.  slots maps each slot name to
+    params maps array keys to C-contiguous float64 ndarrays (copies of
+    the arrays passed in, so the model never aliases its caller): a
+    weight slot `w` is either a single key "w" (dense, natural shape;
+    vectors are 1-D) or the pair "w.a"/"w.b" (factored halves, m x r
+    and n x r).  masks maps a subset of those keys to bool arrays, True
+    where the entry is kept; masked entries are zero and frozen.  The
+    constructor takes masks as bool arrays or as numeric arrays of
+    zeros and ones (bundle files hold float64 masks) and stores
+    mask == 1.  slots maps each slot name to
     its (kind, keys): ("dense", ("w",)) or ("factored", ("w.a", "w.b")).
     Construction raises InputError for any params/masks that do not fit
     that layout.
@@ -289,7 +292,8 @@ class EncoderModel:
 
     def __init__(self, config, params, masks=None):
         self.config = config
-        self.params = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+        self.params = {k: np.array(v, dtype=np.float64, order="C")
+                       for k, v in params.items()}
         self.slots = {e.name: self._slot(e) for e in config.shapes()}
         claimed = {key for _, keys in self.slots.values() for key in keys}
         unclaimed = sorted(set(self.params) - claimed)
@@ -306,8 +310,9 @@ class EncoderModel:
                 raise InputError(f"mask for {key!r} is not binary")
             # a new array, so the model never aliases its caller's mask
             self.masks[key] = mask == 1
-            # the same bits as multiplying by 1.0 / 0.0
-            self.params[key] = self.params[key] * self.masks[key]
+            # the same bits as multiplying by 1.0 / 0.0, on the model's
+            # own copy
+            self.params[key] *= self.masks[key]
 
     def _slot(self, e):
         """(kind, keys) of one shape entry, with its arrays' shapes checked."""
@@ -337,12 +342,8 @@ class EncoderModel:
         return ("dense", (e.name,))
 
     def copy(self):
-        # the constructor stores mask == 1, a new bool array
-        return EncoderModel(
-            self.config,
-            {k: v.copy() for k, v in self.params.items()},
-            self.masks,
-        )
+        # the constructor copies every array once
+        return EncoderModel(self.config, self.params, self.masks)
 
     def retained_count(self):
         """Live parameter count: mask ones where masked, sizes elsewhere."""
@@ -375,23 +376,26 @@ class EncoderModel:
     # ---- bundle conversion -------------------------------------------
 
     def to_bundle(self):
+        """(name, group, matrix) entries of the model's own arrays, no
+        copies: each key, then its mask as "<key>.mask"; vectors and
+        their masks are 1 x n views."""
         entries = []
         for e in self.config.shapes():
             for key in self.slots[e.name][1]:
-                # vectors are stored as 1 x n bundle rows
                 entries.append((key, e.group, np.atleast_2d(self.params[key])))
-                # ParamBundle stores the bool mask as float64 1.0 / 0.0
                 if key in self.masks:
-                    entries.append((f"{key}.mask", e.group, self.masks[key]))
-        return ParamBundle(entries)
+                    entries.append((f"{key}.mask", e.group,
+                                    np.atleast_2d(self.masks[key])))
+        return entries
 
     @classmethod
-    def from_bundle(cls, bundle, config):
-        """The model a bundle holds for config.  The shape table grows
+    def from_bundle(cls, entries, config):
+        """The model (name, group, matrix) entries hold for config; the
+        constructor makes the one writable copy.  The shape table grows
         with num_layers, so that is checked against the encoder layers
-        the bundle names before the table is built: a corrupt config
+        the entries name before the table is built: a corrupt config
         raises InputError instead of exhausting memory."""
-        layers = len({name.split(".", 1)[0] for name in bundle.names()
+        layers = len({name.split(".", 1)[0] for name, _, _ in entries
                       if name.startswith("enc")})
         if layers != config.num_layers:
             raise InputError(f"config key 'num_layers' is "
@@ -400,14 +404,12 @@ class EncoderModel:
         params = {}
         masks = {}
         vector_slots = {e.name for e in config.shapes() if e.is_vector}
-        for name in bundle.names():
-            arr = bundle.matrix(name)
-            if name.endswith(".mask"):
-                masks[name[: -len(".mask")]] = arr
-            elif name in vector_slots:
-                params[name] = arr.reshape(-1)
-            else:
-                params[name] = arr
+        for name, _, arr in entries:
+            is_mask = name.endswith(".mask")
+            key = name[: -len(".mask")] if is_mask else name
+            if key in vector_slots:
+                arr = arr.reshape(-1)
+            (masks if is_mask else params)[key] = arr
         return cls(config, params, masks)
 
     # ---- forward ------------------------------------------------------
@@ -713,21 +715,17 @@ def init_model(config, seed=0):
 
 def save_model(model, path_base):
     """Checkpoint: <base>.bundle (params and masks) + <base>.config."""
-    from .tensor import save_bundle
-
     base = str(path_base)
     save_bundle(model.to_bundle(), base + ".bundle")
     save_config(model.config, base + ".config")
 
 
 def load_model(path_base):
-    from .tensor import load_bundle
-
     base = str(path_base)
     config = load_config(base + ".config")
-    bundle = load_bundle(base + ".bundle")
+    entries = load_bundle(base + ".bundle")
     try:
-        return EncoderModel.from_bundle(bundle, config)
+        return EncoderModel.from_bundle(entries, config)
     except InputError as exc:
         raise InputError(f"{base}.bundle does not fit {base}.config: "
                          f"{exc}") from exc

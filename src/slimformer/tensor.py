@@ -1,11 +1,14 @@
-"""Named parameter bundles and the bundle file format.
+"""Bundle files of named parameter matrices, and key=value record files.
 
 Matrices throughout the library are plain 2-D float64 numpy arrays.  A
-:class:`ParamBundle` is an ordered collection of named matrices, each tagged
-with the parameter group it belongs to (embedding / encoder / classifier).
-It is the one place that checks values: every entry is stored as a
-read-only, C-contiguous float64 copy with positive dimensions and finite
-entries, so a bundle can be shared freely and saved bit-exactly.
+bundle is a list of (name, group, matrix) entries, each tagged with the
+parameter group it belongs to (embedding / encoder / classifier); the
+model's own arrays are its entries, so nothing holds a second copy of
+the weights.  Values are checked at the file boundary: save_bundle
+refuses any entry that load_bundle would reject (a name with
+whitespace, an unknown group, a repeated name, an array that is not 2-D
+with positive dimensions, NaN or infinite values), and load_bundle
+checks every file it reads.
 
 Bundle files are a text manifest followed by one concatenated binary blob:
 
@@ -17,8 +20,8 @@ Bundle files are a text manifest followed by one concatenated binary blob:
 
 Entries are packed back to back: each offset is the summed size of the
 entries before it, the blob is exactly their total, and the file ends
-with the blob.  The manifest is ASCII and diffable; the blob is
-bit-exact on round trip.
+with the blob.  Entry names are unique.  The manifest is ASCII and
+diffable; the blob is bit-exact on round trip.
 
 The text files (a model's .config, a compression plan) hold one
 dataclass record each, as key=value lines named by the record's fields;
@@ -30,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import zlib
 from pathlib import Path
-from typing import Iterable, Iterator, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -49,93 +52,57 @@ GROUPS = ("embedding", "encoder", "classifier")
 _MAGIC = "slimformer-bundle 1"
 
 
-class ParamBundle:
-    """Ordered, immutable map of unique names to grouped matrices.
+def save_bundle(entries, path) -> None:
+    """Write (name, group, matrix) entries in the format of the module docs.
 
-    Iteration order is insertion order.  Names contain no whitespace so the
-    manifest stays line-parseable.  Each matrix is copied, so the caller's
-    array stays writable; raises ShapeError for an array that is not 2-D
-    with positive dimensions and NonFiniteError for NaN or infinite entries.
+    Every entry is checked before the file is opened: MalformedManifestError
+    for a name that is empty or holds whitespace, an unknown group or a
+    repeated name, ShapeError for a matrix that is not 2-D with positive
+    dimensions and NonFiniteError for NaN or infinite values.  Each matrix
+    is written as row-major little-endian float64: a C-contiguous float64
+    array is read in place, anything else (a bool mask) is converted one
+    entry at a time.
     """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Iterable[tuple[str, str, np.ndarray]] = ()):
-        seen: dict[str, tuple[str, np.ndarray]] = {}
-        for name, group, matrix in entries:
-            if not name or any(ch.isspace() for ch in name):
-                raise MalformedManifestError(f"invalid entry name {name!r}")
-            if group not in GROUPS:
-                raise MalformedManifestError(
-                    f"unknown group {group!r} for entry {name!r}; expected one of {GROUPS}"
-                )
-            if name in seen:
-                raise MalformedManifestError(f"duplicate entry name {name!r}")
-            seen[name] = (group, _frozen_copy(name, matrix))
-        self._entries = seen
-
-    def names(self) -> list[str]:
-        return list(self._entries)
-
-    def matrix(self, name: str) -> np.ndarray:
-        return self._entries[name][1]
-
-    def items(self) -> Iterator[tuple[str, str, np.ndarray]]:
-        for name, (group, matrix) in self._entries.items():
-            yield name, group, matrix
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParamBundle):
-            return NotImplemented
-        return [(n, g, m.shape, m.tobytes()) for n, g, m in self.items()] == [
-            (n, g, m.shape, m.tobytes()) for n, g, m in other.items()
-        ]
-
-    def __repr__(self):
-        params = sum(m.size for _, m in self._entries.values())
-        return f"ParamBundle({len(self._entries)} entries, {params} params)"
-
-
-def _frozen_copy(name: str, values) -> np.ndarray:
-    a = np.array(values, dtype=np.float64, order="C", copy=True)
-    if a.ndim != 2 or a.size == 0:
-        raise ShapeError(f"entry {name!r} must be a 2-D array with positive "
-                         f"dimensions, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFiniteError(f"entry {name!r} holds NaN or infinite values")
-    a.flags.writeable = False
-    return a
-
-
-def save_bundle(bundle: ParamBundle, path) -> None:
-    """Write the manifest-plus-blob bundle format described in the module docs."""
+    entries = list(entries)
     manifest_lines = [_MAGIC]
+    seen = set()
     offset = 0
-    # each frozen matrix is C-contiguous, so crc32 and write read its own
-    # buffer: the bytes of tobytes() without a second copy of the model
-    for name, group, matrix in bundle.items():
-        crc = zlib.crc32(matrix) & 0xFFFFFFFF
+    for name, group, matrix in entries:
+        _claim(name, group, seen)
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2 or matrix.size == 0:
+            raise ShapeError(f"entry {name!r} must be a 2-D array with positive "
+                             f"dimensions, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise NonFiniteError(f"entry {name!r} holds NaN or infinite values")
+        crc = zlib.crc32(np.ascontiguousarray(matrix, dtype="<f8")) & 0xFFFFFFFF
         manifest_lines.append(
             f"entry {name} {group} {matrix.shape[0]} {matrix.shape[1]} {offset} {crc:08x}"
         )
-        offset += matrix.nbytes
+        offset += matrix.size * 8
     manifest_lines.append(f"blob {offset}")
     header = ("\n".join(manifest_lines) + "\n").encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        for _, _, matrix in bundle.items():
-            fh.write(matrix)
+        for _, _, matrix in entries:
+            fh.write(np.ascontiguousarray(matrix, dtype="<f8"))
 
 
-def load_bundle(path) -> ParamBundle:
-    """Read a bundle file, validating structure, lengths and checksums."""
+def load_bundle(path) -> list[tuple[str, str, np.ndarray]]:
+    """The (name, group, matrix) entries of a bundle file, in file order.
+
+    The file is read once; each matrix is a read-only view of that one
+    buffer.  Raises a BundleFormatError for a bad structure, length,
+    checksum, repeated name or non-finite value.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
 
-    lines, blob = _split_header(raw)
+    lines, start = _split_header(raw)
     if not lines or lines[0] != _MAGIC:
         raise MalformedManifestError(f"bad magic line {lines[0]!r}" if lines else "empty file")
 
+    blob = memoryview(raw)[start:]
     declared = _parse_blob_line(lines[-1])
     if len(blob) < declared:
         raise TruncatedBlobError(
@@ -147,9 +114,11 @@ def load_bundle(path) -> ParamBundle:
         )
 
     entries = []
+    seen = set()
     end = 0
     for line in lines[1:-1]:
         name, group, rows, cols, offset, crc = _parse_entry_line(line)
+        _claim(name, group, seen)
         if offset != end:
             raise MalformedManifestError(
                 f"entry {name!r} starts at byte {offset}; the entries before "
@@ -173,11 +142,27 @@ def load_bundle(path) -> ParamBundle:
             f"manifest declares a {declared}-byte blob but its entries "
             f"cover {end} bytes"
         )
-    return ParamBundle(entries)
+    return entries
+
+
+def _claim(name: str, group: str, seen: set) -> None:
+    """Add an entry's name to seen; MalformedManifestError for a name
+    that is empty, holds whitespace or is already in seen, or a group
+    not in GROUPS."""
+    if not name or any(ch.isspace() for ch in name):
+        raise MalformedManifestError(f"invalid entry name {name!r}")
+    if group not in GROUPS:
+        raise MalformedManifestError(
+            f"unknown group {group!r} for entry {name!r}; expected one of {GROUPS}"
+        )
+    if name in seen:
+        raise MalformedManifestError(f"duplicate entry name {name!r}")
+    seen.add(name)
 
 
 def _split_header(raw: bytes):
-    # Header = ASCII lines through the "blob N" line; everything after is blob.
+    # Header = ASCII lines through the "blob N" line; everything after is
+    # blob, which starts at the returned byte position.
     lines = []
     pos = 0
     while True:
@@ -191,7 +176,7 @@ def _split_header(raw: bytes):
         lines.append(line)
         pos = nl + 1
         if line.startswith("blob"):
-            return lines, raw[pos:]
+            return lines, pos
 
 
 def _parse_blob_line(line: str) -> int:
@@ -209,8 +194,6 @@ def _parse_entry_line(line: str):
     if len(parts) != 7 or parts[0] != "entry":
         raise MalformedManifestError(f"bad entry line {line!r}")
     _, name, group, rows_s, cols_s, offset_s, crc_s = parts
-    if group not in GROUPS:
-        raise MalformedManifestError(f"unknown group {group!r} in entry {name!r}")
     try:
         rows, cols, offset = int(rows_s), int(cols_s), int(offset_s)
         crc = int(crc_s, 16)

@@ -2,7 +2,9 @@
 
 import csv
 import io
+import json
 import os
+import random
 import subprocess
 import sys
 import zlib
@@ -16,7 +18,7 @@ import slimformer
 from slimformer.cli import main
 from slimformer.model import (TOY_CONFIG, init_model, load_model,
                               save_config, save_model)
-from slimformer.tensor import ParamBundle, load_bundle, save_bundle
+from slimformer.tensor import load_bundle, save_bundle
 
 
 @pytest.fixture()
@@ -68,6 +70,34 @@ def aliasing_offset(data):
 def trailing_bytes(data):
     """Bytes appended after the declared blob."""
     return data + b"junk"
+
+
+def duplicate_name(data):
+    """enc0.attn.wk's entry renamed enc0.attn.wq, bytes and checksum
+    unchanged."""
+    lines, rows, blob = _manifest(data)
+    wk = lines[rows["enc0.attn.wk"]].split()
+    wk[1] = "enc0.attn.wq"
+    lines[rows["enc0.attn.wk"]] = " ".join(wk)
+    return "\n".join(lines).encode("ascii") + blob
+
+
+# address-space limit of a CLI run in a child process, so that a
+# runaway allocation fails the test instead of the machine
+CHILD_AS_LIMIT = 1500 * 2 ** 20
+
+
+def run_limited(code, args):
+    """Run python `code` with args in a child process under
+    CHILD_AS_LIMIT and one BLAS thread."""
+    prelude = ("import resource\n"
+               "resource.setrlimit(resource.RLIMIT_AS, "
+               f"({CHILD_AS_LIMIT}, {CHILD_AS_LIMIT}))\n")
+    src = os.path.dirname(os.path.dirname(slimformer.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", prelude + code, *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
 
 
 class TestPlan:
@@ -203,20 +233,20 @@ class TestCompress:
         nan_payload,
         aliasing_offset,
         trailing_bytes,
+        duplicate_name,
     ], ids=["unclaimed-key", "dense-and-factored", "wrong-shape",
             "non-binary-mask", "nan-payload", "aliasing-offset",
-            "trailing-bytes"])
+            "trailing-bytes", "duplicate-name"])
     def test_bad_bundle(self, tmp_path, edit, capsys):
         """The teacher's bundle with entries added or replaced, or its
         saved bytes edited; a file the loader rejects also fails check."""
         entries = {name: (group, m) for name, group, m
-                   in init_model(TOY_CONFIG, seed=0).to_bundle().items()}
+                   in init_model(TOY_CONFIG, seed=0).to_bundle()}
         if isinstance(edit, dict):
             entries.update((name, ("encoder", arr))
                            for name, arr in edit.items())
         path = tmp_path / "bad.bundle"
-        save_bundle(ParamBundle((n, g, m) for n, (g, m) in entries.items()),
-                    path)
+        save_bundle([(n, g, m) for n, (g, m) in entries.items()], path)
         if callable(edit):
             path.write_bytes(edit(path.read_bytes()))
         save_config(TOY_CONFIG, tmp_path / "bad.config")
@@ -291,8 +321,8 @@ class TestDistill:
 
 class TestAnalyzeBias:
     def expected_cells(self, bundle_path):
-        bundle = load_bundle(bundle_path)
-        return sum(m.size for _, _, m in bundle.items() if min(m.shape) > 1)
+        return sum(m.size for _, _, m in load_bundle(bundle_path)
+                   if min(m.shape) > 1)
 
     def test_stdout_histogram(self, teacher_path, capsys):
         code = main(["analyze", "bias", "--bundle", teacher_path,
@@ -448,15 +478,9 @@ class TestCheck:
                 "--plan", write_plan(tmp_path)]
         if command == "compress":
             argv += ["--out", str(tmp_path / "s")]
-        limit = 1500 * 2 ** 20
-        child = ("import resource, sys\n"
-                 f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-                 "from slimformer.cli import main\n"
-                 "sys.exit(main(sys.argv[1:]))\n")
-        src = os.path.dirname(os.path.dirname(slimformer.__file__))
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", child, *argv], env=env,
-                              capture_output=True, text=True, timeout=300)
+        proc = run_limited("import sys\n"
+                           "from slimformer.cli import main\n"
+                           "sys.exit(main(sys.argv[1:]))\n", argv)
         assert proc.returncode == 4, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "'num_layers'" in proc.stderr
@@ -465,3 +489,95 @@ class TestCheck:
         code = main(["check", "--bundle", teacher_path,
                      "--plan", str(tmp_path / "no.txt")])
         assert code == 4
+
+
+# values an edited field takes: huge, negative, zero, not a number,
+# infinite, non-numeric and empty, and small ones a field may hold
+FUZZ_VALUES = (b"99999999999999999999", b"-7", b"0", b"nan", b"inf",
+               b"1e308", b"x", b"", b"1", b"2", b"0.5")
+
+
+def mutated(name, data, rng):
+    """data of file `name` after one random edit: a bit flip, a
+    truncation, a duplicated or deleted line, or a field set to one of
+    FUZZ_VALUES.  Lines are the bundle's manifest lines (its blob is
+    only flipped or truncated) or the text file's key=value lines."""
+    op = rng.choice(("flip", "truncate", "duplicate", "delete", "edit",
+                     "edit"))
+    if op == "flip":
+        out = bytearray(data)
+        out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+        return bytes(out)
+    if op == "truncate":
+        return data[:rng.randrange(len(data))]
+    is_bundle = name.endswith(".bundle")
+    end = (data.index(b"\n", data.index(b"\nblob ") + 1) + 1 if is_bundle
+           else len(data))
+    lines = data[:end].split(b"\n")[:-1]
+    i = rng.randrange(len(lines))
+    if op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "delete":
+        del lines[i]
+    else:
+        sep = b" " if is_bundle else b"="
+        fields = lines[i].split(sep)
+        fields[rng.randrange(len(fields))] = rng.choice(FUZZ_VALUES)
+        lines[i] = sep.join(fields)
+    return b"".join(line + b"\n" for line in lines) + data[end:]
+
+
+# runs check and compress on each case directory in one process; prints
+# one JSON line [case, command, exit code, stderr] per run
+FUZZ_CHILD = """
+import contextlib, io, json, sys, traceback
+from slimformer.cli import main
+for case in sys.argv[1:]:
+    files = ["--bundle", f"{case}/teacher.bundle", "--plan", f"{case}/plan.txt"]
+    for argv in (["check", *files], ["compress", *files, "--out", f"{case}/s"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                code = None
+                traceback.print_exc()
+        print(json.dumps([case, argv[0], code, err.getvalue()]))
+"""
+
+
+class TestFuzzedFiles:
+    CASES = 150
+
+    def test_every_exit_is_0_2_or_4(self, tmp_path, teacher_path):
+        """check and compress on the teacher's bundle, its config and a
+        plan, one of them edited at random (derandomized), exit 0, 2 or
+        4 and print no traceback.  One child process runs every case
+        under CHILD_AS_LIMIT."""
+        write_plan(tmp_path)
+        names = ("teacher.bundle", "teacher.config", "plan.txt")
+        rng = random.Random(0)
+        cases = []
+        for i in range(self.CASES):
+            case = tmp_path / f"case{i}"
+            case.mkdir()
+            edited = names[i % len(names)]
+            for name in names:
+                if name == edited:
+                    (case / name).write_bytes(mutated(
+                        name, (tmp_path / name).read_bytes(), rng))
+                else:
+                    os.link(tmp_path / name, case / name)
+            cases.append(str(case))
+        proc = run_limited(FUZZ_CHILD, cases)
+        assert proc.returncode == 0, proc.stderr
+        runs = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert len(runs) == 2 * self.CASES
+        bad = [run for run in runs
+               if run[2] not in (0, 2, 4) or "Traceback" in run[3]]
+        assert not bad, bad[:3]
+        codes = {run[2] for run in runs}
+        assert codes >= {0, 4}, codes

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.special import erf
 
-from slimformer.budget import transformer_shapes
+from slimformer.budget import allocate, transformer_shapes
 from slimformer.errors import (BundleFormatError, ExpansionWarning,
                                InputError, RangeError)
 from slimformer.budget import solve_budget
@@ -47,6 +47,7 @@ from slimformer.model import (
     truncated_config_for_budget,
 )
 from slimformer.pipeline import one_shot_compress
+from slimformer.prune import keep_largest
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -93,14 +94,19 @@ def slot_kind_model(cfg, kind, seed, rank=4):
     return EncoderModel(cfg, params, masks)
 
 
-def forward_peak(model, tokens, with_cache):
-    """(tracemalloc peak in bytes, result) of one forward."""
+def traced_peak(job):
+    """(tracemalloc peak in bytes, result) of job()."""
     tracemalloc.start()
     try:
-        out = model.forward(tokens, with_cache=with_cache)
+        out = job()
         return tracemalloc.get_traced_memory()[1], out
     finally:
         tracemalloc.stop()
+
+
+def forward_peak(model, tokens, with_cache):
+    """(tracemalloc peak in bytes, result) of one forward."""
+    return traced_peak(lambda: model.forward(tokens, with_cache=with_cache))
 
 
 def trace_bytes(trace):
@@ -726,10 +732,33 @@ class TestBundleRoundTrip:
 
     def test_bundle_groups(self):
         model = init_model(TOY_CONFIG, seed=16)
-        group_of = {name: group for name, group, _ in model.to_bundle().items()}
+        group_of = {name: group for name, group, _ in model.to_bundle()}
         assert group_of["tok_embed"] == "embedding"
         assert group_of["enc0.attn.wq"] == "encoder"
         assert group_of["cls.w"] == "classifier"
+
+    def test_to_bundle_holds_the_models_arrays(self):
+        model = slot_kind_model(small_config(), "masked-factored", seed=18)
+        for name, _, m in model.to_bundle():
+            key = name.removesuffix(".mask")
+            held = model.masks[key] if name.endswith(".mask") else \
+                model.params[key]
+            assert m.ndim == 2 and np.shares_memory(m, held), name
+
+    def test_vector_mask_round_trips(self, tmp_path):
+        """A mask on a vector slot is written as 1 x n, like its vector,
+        and read back as the vector's mask."""
+        params = init_model(TOY_CONFIG, seed=19).params
+        params["cls.b"] = np.array([0.5, -1.0, 2.0])
+        model = EncoderModel(TOY_CONFIG, params,
+                             {"cls.b": np.array([1, 0, 1])})
+        save_model(model, tmp_path / "v")
+        for back in (EncoderModel.from_bundle(model.to_bundle(), TOY_CONFIG),
+                     load_model(tmp_path / "v")):
+            assert back.masks.keys() == {"cls.b"}
+            assert back.masks["cls.b"].tolist() == [True, False, True]
+            assert back.params["cls.b"].tolist() == [0.5, 0.0, 2.0]
+            assert back.params.keys() == model.params.keys()
 
 
 @functools.cache
@@ -830,6 +859,71 @@ class TestAdam:
 def resident_bytes(model):
     return (sum(v.nbytes for v in model.params.values())
             + sum(m.nbytes for m in model.masks.values()))
+
+
+WIDE_CONFIG = ModelConfig(vocab_size=64, embed_dim=256, num_layers=2,
+                          num_heads=4, ffn_dim=1024, max_seq_len=16,
+                          num_classes=3)
+
+
+@functools.cache
+def wide_student():
+    """The width-256 P=0.4 allocation as a model, without SVD: every
+    slot has the kind, rank and mask count the planner chose, random
+    values and keep_largest masks."""
+    shapes = WIDE_CONFIG.shapes()
+    alloc = allocate(shapes, solve_budget(shapes, 0.4, p_embd=0.55,
+                                          p_svd=0.45))
+    dense = init_model(WIDE_CONFIG, seed=20).params
+    rng = np.random.default_rng(20)
+    params, masks = {}, {}
+
+    def put(key, shape, ones):
+        params[key], mask = keep_largest(rng.normal(0.0, 0.05, shape), ones)
+        if mask is not None:
+            masks[key] = mask
+
+    for e in alloc.entries:
+        if e.kind == "dense":
+            params[e.name] = dense[e.name]
+        elif e.kind == "masked":
+            put(e.name, (e.rows, e.cols), e.ones)
+        else:
+            put(f"{e.name}.a", (e.rows, e.rank), e.ones_a)
+            put(f"{e.name}.b", (e.cols, e.rank), e.ones_b)
+    return EncoderModel(WIDE_CONFIG, params, masks)
+
+
+class TestWeightsHeldOnce:
+    """tracemalloc peaks at width 256: loading holds the file once plus
+    the model, saving converts one entry at a time, and copy() copies
+    each array once."""
+
+    def test_load_holds_the_file_and_the_model(self, tmp_path):
+        base = tmp_path / "student"
+        save_model(wide_student(), base)
+        file_bytes = os.path.getsize(f"{base}.bundle")
+        peak, model = traced_peak(lambda: load_model(base))
+        assert model.masks and model.slots == wide_student().slots
+        assert peak <= 1.1 * (file_bytes + resident_bytes(model))
+
+    def test_save_converts_one_entry_at_a_time(self, tmp_path):
+        model = wide_student()
+        largest = 8 * max(m.size for _, _, m in model.to_bundle())
+        peak, _ = traced_peak(lambda: save_model(model, tmp_path / "s"))
+        # the largest entry's float64 copy, and a tenth more for the
+        # manifest text
+        assert peak <= 1.1 * largest
+
+    @pytest.mark.parametrize("kind", ["teacher", "student"])
+    def test_copy_copies_once(self, kind):
+        model = (init_model(WIDE_CONFIG, seed=21) if kind == "teacher"
+                 else wide_student())
+        peak, twin = traced_peak(model.copy)
+        assert peak <= 1.1 * resident_bytes(model)
+        for key, value in model.params.items():
+            assert twin.params[key].tobytes() == value.tobytes()
+            assert not np.shares_memory(twin.params[key], value)
 
 
 class TestMaskContract:
