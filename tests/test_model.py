@@ -10,6 +10,8 @@ invariant) without masking anything above 1e-10 absolute.
 import functools
 import math
 import os
+import platform
+import resource
 import sys
 import tempfile
 import threading
@@ -28,6 +30,7 @@ from slimformer.budget import solve_budget
 from slimformer.factorize import factorize_layer
 from slimformer.model import (
     FORWARD_BLOCK,
+    KEEPS_FREED_MEMORY,
     LN_EPS,
     TOY_CONFIG,
     Adam,
@@ -48,6 +51,7 @@ from slimformer.model import (
 )
 from slimformer.pipeline import one_shot_compress
 from slimformer.prune import keep_largest
+from slimformer.tasks import TaskConfig, evaluate, generate_task
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -924,6 +928,26 @@ class TestWeightsHeldOnce:
         for key, value in model.params.items():
             assert twin.params[key].tobytes() == value.tobytes()
             assert not np.shares_memory(twin.params[key], value)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="mallopt's thresholds are glibc's")
+def test_evaluate_reuses_freed_memory():
+    """Importing the model fixes glibc's mmap and trim thresholds, so a
+    warm evaluate takes its activations from memory the last one freed.
+    With glibc's dynamic thresholds a toy evaluate takes ~3,000-4,300
+    minor page faults per call."""
+    assert KEEPS_FREED_MEMORY
+    task = generate_task(TaskConfig(seed=11))
+    model = init_model(TOY_CONFIG, seed=11)
+    for _ in range(3):
+        evaluate(model, task.tokens_val, task.labels_val)
+    calls = 20
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        evaluate(model, task.tokens_val, task.labels_val)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / calls < 100
 
 
 class TestMaskContract:
