@@ -14,7 +14,7 @@ from .budget import (CompressionPlan, allocate, implied_overall, load_plan,
                      random_search, save_plan, solve_budget,
                      transformer_shapes)
 from .distill import (DistillConfig, distill_injections, distill_step,
-                      mse_loss, prediction_loss, total_distill_loss)
+                      mse_loss, prediction_loss)
 from .factorize import (LowRankPair, factor_ratio, factorize_layer,
                         rank_for_ratio)
 from .model import (TOY_CONFIG, Adam, EncoderModel, ModelConfig, init_model,

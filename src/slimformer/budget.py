@@ -70,9 +70,6 @@ class ShapeTable:
     def __iter__(self):
         return iter(self._entries)
 
-    def __len__(self):
-        return len(self._entries)
-
     def group_total(self, group=None):
         return sum(e.size for e in self._entries
                    if group is None or e.group == group)

@@ -57,12 +57,6 @@ def prediction_loss(teacher_logits, student_logits):
     return float(per_row.mean())
 
 
-def total_distill_loss(teacher_trace, student_trace, cfg):
-    """Weighted four-level loss; returns (total, per-term breakdown)."""
-    total, breakdown, _ = distill_injections(teacher_trace, student_trace, cfg)
-    return total, breakdown
-
-
 def distill_injections(teacher_trace, student_trace, cfg):
     """Loss, breakdown, and the upstream gradients for backward.
 
@@ -114,7 +108,8 @@ def distill_injections(teacher_trace, student_trace, cfg):
 
 def distill_step(student, teacher, tokens, cfg, opt):
     """One optimizer step on the distillation objective; returns the
-    step's (total, per-term breakdown), as total_distill_loss does.
+    step's (total, per-term breakdown), the first two items of
+    distill_injections.
 
     Masked student entries keep gradient zero and stay exactly zero
     after the update.  The teacher is only read.  The teacher's forward

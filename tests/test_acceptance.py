@@ -16,8 +16,7 @@ from slimformer.analysis import bias_study, gaussian_testbed
 from slimformer.budget import (plan_check, plan_from_fractions, solve_budget,
                                transformer_shapes)
 from slimformer.distill import (DistillConfig, distill_injections,
-                                distill_step, prediction_loss,
-                                total_distill_loss)
+                                distill_step, prediction_loss)
 from slimformer.factorize import factor_ratio, rank_for_ratio
 from slimformer.model import (TOY_CONFIG, Adam, GradInjections, init_model,
                               truncated_config_for_budget)
@@ -192,8 +191,7 @@ def test_04_gradient_fidelity():
     teacher_trace = teacher.forward(tokens)
 
     def distill_loss(trace):
-        total, _ = total_distill_loss(teacher_trace, trace, cfg)
-        return total
+        return distill_injections(teacher_trace, trace, cfg)[0]
 
     student_trace, cache = student.forward(tokens, with_cache=True)
     _, _, d_inj = distill_injections(teacher_trace, student_trace, cfg)
@@ -221,7 +219,7 @@ def test_05_distillation_loss_values():
     model = init_model(TOY_CONFIG, seed=7)
     tokens = np.random.default_rng(8).integers(0, 64, size=(3, 10))
     trace = model.forward(tokens)
-    _, breakdown = total_distill_loss(trace, trace, DistillConfig())
+    breakdown = distill_injections(trace, trace, DistillConfig())[1]
     mse_terms = (breakdown["embedding"], breakdown["attention"],
                  breakdown["hidden"])
 

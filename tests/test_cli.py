@@ -287,6 +287,15 @@ class TestDistill:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_teacher_divergence_exit_code(self, tmp_path, teacher_path,
+                                          capsys):
+        plan = write_plan(tmp_path)
+        code = main(["distill", "--teacher", teacher_path, "--plan", plan,
+                     "--task-seed", "1", "--out", str(tmp_path / "run"),
+                     "--teacher-epochs", "3", "--teacher-lr", "100"])
+        assert code == 3
+        assert "uniform guess" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [
         ("--batch-size", "0"),
         ("--batch-size", "-3"),

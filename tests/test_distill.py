@@ -9,7 +9,6 @@ from slimformer.distill import (
     distill_step,
     mse_loss,
     prediction_loss,
-    total_distill_loss,
 )
 from slimformer.errors import MappingError, RangeError, ShapeError
 from slimformer.model import (
@@ -99,7 +98,8 @@ def make_trace(rng, batch=2, layers=2, heads=2, n=4, d=6, classes=3):
 class TestTotalLoss:
     def test_self_distillation_floor(self):
         trace = make_trace(np.random.default_rng(2))
-        total, breakdown = total_distill_loss(trace, trace, DistillConfig())
+        total, breakdown = distill_injections(trace, trace,
+                                              DistillConfig())[:2]
         assert breakdown["embedding"] == 0.0
         assert breakdown["attention"] == 0.0
         assert breakdown["hidden"] == 0.0
@@ -117,7 +117,7 @@ class TestTotalLoss:
                                student.hidden, np.zeros((2, 3)))
         cfg = DistillConfig(embedding_weight=0, attention_weight=0,
                             hidden_weight=0, prediction_weight=1)
-        total, _ = total_distill_loss(teacher, student, cfg)
+        total = distill_injections(teacher, student, cfg)[0]
         assert total == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_embedding_offset_by_one(self):
@@ -125,7 +125,8 @@ class TestTotalLoss:
         teacher = make_trace(rng)
         student = ForwardTrace(teacher.embedding_out + 1.0, teacher.attention,
                                teacher.hidden, teacher.logits)
-        total, breakdown = total_distill_loss(teacher, student, DistillConfig())
+        total, breakdown = distill_injections(teacher, student,
+                                              DistillConfig())[:2]
         assert breakdown["embedding"] == pytest.approx(1.0, abs=1e-12)
         assert total == pytest.approx(1.0 + breakdown["prediction"], abs=1e-12)
 
@@ -135,7 +136,7 @@ class TestTotalLoss:
         student = make_trace(rng)  # wildly different everywhere
         cfg = DistillConfig(embedding_weight=0, attention_weight=0,
                             hidden_weight=0, prediction_weight=1)
-        _, breakdown = total_distill_loss(teacher, student, cfg)
+        breakdown = distill_injections(teacher, student, cfg)[1]
         assert breakdown["embedding"] == 0.0
         assert breakdown["attention"] == 0.0
         assert breakdown["hidden"] == 0.0
@@ -146,7 +147,7 @@ class TestTotalLoss:
         teacher = make_trace(rng, layers=2)
         student = make_trace(rng, layers=1)
         with pytest.raises(MappingError):
-            total_distill_loss(teacher, student, DistillConfig())
+            distill_injections(teacher, student, DistillConfig())
 
     def test_batch_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -160,9 +161,9 @@ class TestTotalLoss:
                                 tuple(h[perm] for h in tr.hidden),
                                 tr.logits[perm])
 
-        a, bd_a = total_distill_loss(teacher, student, DistillConfig())
-        b, bd_b = total_distill_loss(permute(teacher), permute(student),
-                                     DistillConfig())
+        a, bd_a = distill_injections(teacher, student, DistillConfig())[:2]
+        b, bd_b = distill_injections(permute(teacher), permute(student),
+                                     DistillConfig())[:2]
         assert a == pytest.approx(b, abs=1e-12)
         assert bd_a == pytest.approx(bd_b, abs=1e-12)
 
@@ -183,9 +184,8 @@ class TestDistillGradients:
         teacher_trace = teacher.forward(tokens)
 
         def loss_of():
-            total, _ = total_distill_loss(teacher_trace,
-                                          student.forward(tokens), cfg)
-            return total
+            return distill_injections(teacher_trace,
+                                      student.forward(tokens), cfg)[0]
 
         strace, cache = student.forward(tokens, with_cache=True)
         _, _, inj = distill_injections(teacher_trace, strace, cfg)
@@ -240,7 +240,7 @@ class TestDistillStep:
         assert terms["embedding"] == 0.0
         trace_t = teacher.forward(tokens)
         trace_s = student.forward(tokens)
-        _, breakdown = total_distill_loss(trace_t, trace_s, DistillConfig())
+        breakdown = distill_injections(trace_t, trace_s, DistillConfig())[1]
         assert breakdown["embedding"] <= 1e-10
         assert breakdown["attention"] <= 1e-10
         assert breakdown["hidden"] <= 1e-10

@@ -1,9 +1,12 @@
 """Synthetic task generation and supervised training."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from slimformer.errors import InputError, RangeError
+from slimformer.errors import DivergenceError, InputError, NonFiniteError, \
+    RangeError
 from slimformer.model import TOY_CONFIG, init_model
 from slimformer.tasks import (
     TaskConfig,
@@ -50,6 +53,26 @@ class TestGeneration:
         assert task.tokens_train.max() < 64
         assert task.tokens_train.shape == (512, 16)
 
+    @pytest.mark.parametrize("cfg, sha256", [
+        (TaskConfig(seed=0),
+         "4c9dee4cab66ff6e7b087d9ca29ca62e696afc842c4ecf4624f817dfa2f3a262"),
+        (TaskConfig(seed=3),
+         "5f4e90abdfe4d2b5068dd4eeef95519dd2dc0264444dc85e776ddf4a981375ba"),
+        (TaskConfig(seed=11),
+         "03897482383cb18fd930747f4bf02007ba70525c36e67711ea029b05b8f6bfb6"),
+        (TaskConfig(seed=5, num_classes=2, train_count=40, val_count=24),
+         "3f46eb56822b94dd17a7b4b0e8b131a289ad454a2f047d43ed8eae26842c49ba"),
+    ])
+    def test_bytes_pinned(self, cfg, sha256):
+        """Both splits' tokens and labels, as little-endian int64, hash
+        to the bytes every earlier version of the sampler produced."""
+        task = generate_task(cfg)
+        digest = hashlib.sha256()
+        for part in (task.tokens_train, task.labels_train,
+                     task.tokens_val, task.labels_val):
+            digest.update(np.ascontiguousarray(part, dtype="<i8").tobytes())
+        assert digest.hexdigest() == sha256
+
     def test_config_validation(self):
         with pytest.raises(RangeError):
             TaskConfig(seed=0, num_classes=1)
@@ -77,6 +100,26 @@ class TestTraining:
         model = init_model(TOY_CONFIG, seed=0)
         history = train_classifier(model, task, epochs=5, lr=2e-3, seed=1)
         assert history[-1].val_accuracy >= 0.95
+
+    def test_divergence_raises(self):
+        """At lr 100 the first epoch's mean loss is 248.8, over 10 x ln 3;
+        training used to go on and return a chance-level teacher."""
+        task = generate_task(TaskConfig(seed=0, train_count=64, val_count=32))
+        model = init_model(TOY_CONFIG, seed=0)
+        with pytest.raises(DivergenceError, match="uniform guess") as info:
+            train_classifier(model, task, epochs=3, lr=100.0)
+        assert info.value.state == {"epoch": 0, "step": 2,
+                                    "recent_records": ()}
+
+    def test_non_finite_forward_raises_divergence(self):
+        task = generate_task(TaskConfig(seed=0, train_count=64, val_count=32))
+        model = init_model(TOY_CONFIG, seed=0)
+        model.params["cls.w"][0, 0] = np.nan
+        with pytest.raises(DivergenceError) as info:
+            train_classifier(model, task, epochs=1, lr=2e-3)
+        assert isinstance(info.value.__cause__, NonFiniteError)
+        assert info.value.state == {"epoch": 0, "step": 0,
+                                    "recent_records": ()}
 
     def test_training_determinism(self):
         task = generate_task(TaskConfig(seed=5, train_count=64, val_count=32))
