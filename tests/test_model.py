@@ -119,6 +119,23 @@ def trace_bytes(trace):
     return [(a.shape, a.tobytes()) for a in arrays]
 
 
+def erf_edges():
+    """Both signs of zero, inf, NaN, subnormals, 1e300 and the largest
+    float, and two ulps either side of sqrt 2 and 8 sqrt 2 (so x / sqrt 2
+    takes 1 - 1 ulp, 1 and 1 + 1 ulp), where erf's branches meet."""
+    info = np.finfo(np.float64)
+    edges = [0.0, np.inf, np.nan, info.smallest_subnormal,
+             info.smallest_normal - info.smallest_subnormal, 1e300, info.max]
+    for centre in (math.sqrt(2.0), 8.0 * math.sqrt(2.0)):
+        below = above = centre
+        edges.append(centre)
+        for _ in range(2):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 20.0)
+            edges += [below, above]
+    edges = np.array(edges)
+    return np.concatenate([edges, -edges])
+
+
 def trace_loss_coeffs(model, tokens, seed):
     """Random linear functional over every trace field.
 
@@ -368,6 +385,22 @@ class TestForward:
         assert np.array_equal(got_xhat, xhat)
         assert np.array_equal(got_inv_std, inv_std)
         assert np.array_equal(x, before)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=64))
+    def test_gelu_erf_folds_sign_exactly(self, patterns):
+        """gelu_erf runs erf on |x / sqrt 2| and copies x's sign back:
+        the bytes of erf(x / sqrt 2) for raw 64-bit patterns and for
+        erf's edges, NaN for NaN (a NaN's sign bit is not compared)."""
+        x = np.concatenate([
+            erf_edges(),
+            np.array(patterns, dtype=np.uint64).view(np.float64)])
+        with np.errstate(invalid="ignore"):  # signalling NaN patterns
+            got, want = gelu_erf(x), erf(x / math.sqrt(2.0))
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
     @pytest.mark.parametrize("block_rows", [3, 1])
     def test_blocked_forward_is_byte_identical(self, monkeypatch, block_rows):
