@@ -6,8 +6,7 @@ Solved on the toy stack, then on full-size reference shapes.
 """
 
 from slimformer import (TOY_CONFIG, plan_check, plan_from_fractions,
-                        pruning_fraction, random_search, solve_budget,
-                        transformer_shapes)
+                        pruning_fraction, solve_budget, transformer_shapes)
 
 toy = TOY_CONFIG.shapes()
 print("toy stack parameter groups:")
@@ -42,15 +41,3 @@ for label, target, pe, ps, pw in rows:
     rep = plan_check(ref, plan_from_fractions(ref, pe, ps, pw))
     print(f"{label:<6} {target:>8.4f} {rep.achieved_overall:>9.4f} "
           f"{abs(rep.achieved_overall - target):>8.4f}")
-
-# Random search samples fraction pairs and keeps the best-scoring
-# feasible plan; here the score is closeness to the target.
-def closeness(candidate):
-    return -abs(plan_check(toy, candidate).achieved_overall - 0.4)
-
-found = random_search(toy, 0.4, 32, closeness, seed=7)
-achieved = plan_check(toy, found).achieved_overall
-print(f"\nsearch over 32 samples: p_embd {found.p_embd:.4f}, "
-      f"p_svd {found.p_svd:.4f}, "
-      f"p_weight {pruning_fraction(toy, found):.4f}")
-print(f"achieved overall {achieved:.6f}")

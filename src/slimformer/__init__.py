@@ -11,8 +11,7 @@ from .analysis import (bias_histogram, bias_matrix, bias_study,
                        compressed_matrix, gaussian_testbed, histogram_csv)
 from .budget import (CompressionPlan, allocate, implied_overall, load_plan,
                      plan_check, plan_from_fractions, pruning_fraction,
-                     random_search, save_plan, solve_budget,
-                     transformer_shapes)
+                     save_plan, solve_budget, transformer_shapes)
 from .distill import (DistillConfig, distill_injections, distill_step,
                       mse_loss, prediction_loss)
 from .factorize import (LowRankPair, factor_ratio, factorize_layer,

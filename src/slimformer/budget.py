@@ -20,8 +20,6 @@ that makes full-size reference checks cheap.
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import InfeasibleBudgetError, InputError, RangeError
 from .factorize import rank_for_ratio
 from .tensor import GROUPS, load_record, save_record
@@ -178,16 +176,15 @@ def solve_budget(shapes, p_overall, p_embd, p_svd, delta=0.9):
 
     When the model can satisfy P without pruning, the pruning fraction
     clamps to 1 and the plan carries an unmet-budget note.  Raises
-    InfeasibleBudgetError when the budget cannot cover the untouched
-    groups, or when rank-floored storage alone already exceeds it.
+    RangeError for a fraction or delta out of range, before any budget
+    check; InfeasibleBudgetError when the budget cannot cover the
+    untouched groups, or when rank-floored storage alone already
+    exceeds it.
     """
-    _check_fraction("p_overall", p_overall)
-    _check_fraction("p_embd", p_embd)
-    _check_fraction("p_svd", p_svd)
+    plan = CompressionPlan(p_overall, p_embd, p_svd, delta=delta)
     encd = shapes.group_total("encoder")
     if encd == 0:
         raise InfeasibleBudgetError("bundle has no encoder parameters", slack=0.0)
-    plan = CompressionPlan(p_overall, p_embd, p_svd, delta=delta)
     numerator = _encoder_budget(shapes, plan)
     if numerator <= 0.0:
         raise InfeasibleBudgetError(
@@ -424,39 +421,6 @@ def plan_check(shapes, plan):
         )
     return PlanReport(plan, total, alloc.retained_count, True,
                       tuple(groups), tuple(violations), alloc)
-
-
-def random_search(shapes, p_overall, trials, evaluator, seed=0, delta=0.9):
-    """Best-scoring feasible plan over sampled (p_embd, p_svd) pairs.
-
-    p_embd is drawn log-uniform on [0.15, 1], p_svd on [0.3, 0.6] from
-    a non-negative seed.  Ties keep the earliest sample, so a constant
-    evaluator returns the first feasible plan.
-    """
-    if trials < 1:
-        raise RangeError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise RangeError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    best = None
-    best_score = -math.inf
-    for _ in range(trials):
-        p_embd = float(np.exp(rng.uniform(np.log(0.15), np.log(1.0))))
-        p_svd = float(np.exp(rng.uniform(np.log(0.3), np.log(0.6))))
-        try:
-            plan = solve_budget(shapes, p_overall, p_embd, p_svd, delta=delta)
-        except InfeasibleBudgetError:
-            continue
-        score = evaluator(plan)
-        if best is None or score > best_score:
-            best = plan
-            best_score = score
-    if best is None:
-        raise InfeasibleBudgetError(
-            f"no feasible plan found in {trials} trials at P={p_overall}",
-            slack=0.0,
-        )
-    return best
 
 
 def save_plan(plan, path):

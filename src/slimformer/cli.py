@@ -2,10 +2,11 @@
 
 Model arguments take the path to a .bundle file; every command loads
 the model, so it expects the matching .config written by save_model
-next to it.  plan and check budget over the config's architecture, and
-analyze bias studies each slot's effective weight.  Exit codes: 0
-success, 2 infeasible plan or out-of-range request, 3 numeric failure,
-4 I/O or format error.
+next to it.  plan and check budget over the config's architecture: plan
+solves the pruning fraction that the given embedding and SVD fractions
+leave to reach the target.  analyze bias studies each slot's effective
+weight.  Exit codes: 0 success, 2 infeasible plan or out-of-range
+request, 3 numeric failure, 4 I/O or format error.
 """
 
 import argparse
@@ -16,8 +17,7 @@ import numpy as np
 
 from .analysis import bias_histogram, bias_matrix, compressed_matrix, \
     histogram_csv
-from .budget import load_plan, plan_check, random_search, save_plan, \
-    solve_budget
+from .budget import load_plan, plan_check, save_plan, solve_budget
 from .errors import BundleFormatError, DivergenceError, \
     InfeasibleBudgetError, InputError, MappingError, NonFiniteError, \
     RangeError, SvdConvergenceError
@@ -33,19 +33,8 @@ def _model_base(bundle_path):
 
 def _cmd_plan(args):
     shapes = load_model(_model_base(args.bundle)).config.shapes()
-    if args.search is not None:
-        # no task is available at plan time, so the search scores
-        # candidates by how close the allocation lands to the target
-        def closeness(plan):
-            report = plan_check(shapes, plan)
-            return -abs(report.achieved_overall - args.target)
-
-        seed = 0 if args.seed is None else args.seed
-        plan = random_search(shapes, args.target, args.search, closeness,
-                             seed=seed, delta=args.delta)
-    else:
-        plan = solve_budget(shapes, args.target, args.p_embd, args.p_svd,
-                            delta=args.delta)
+    plan = solve_budget(shapes, args.target, args.p_embd, args.p_svd,
+                        delta=args.delta)
     save_plan(plan, args.out)
     for line in plan_check(shapes, plan).lines():
         print(line)
@@ -121,7 +110,13 @@ def _cmd_analyze_bias(args):
         pooled.append(bias_matrix(w, compressed).ravel())
     if not pooled:
         raise InputError(f"bundle {args.bundle} has no matrices to analyze")
-    hist = bias_histogram(np.concatenate(pooled), args.mode, bins=args.bins)
+    values = np.concatenate(pooled)
+    # more bins than values cannot be read, and a huge count would
+    # exhaust memory building the bin edges
+    if args.bins > values.size:
+        raise RangeError(f"--bins {args.bins} is above the {values.size} "
+                         f"pooled bias values")
+    hist = bias_histogram(values, args.mode, bins=args.bins)
     text = histogram_csv(hist)
     if args.out is None:
         sys.stdout.write(text)
@@ -151,12 +146,8 @@ def _parser():
     plan = sub.add_parser("plan", help="solve group fractions for a target")
     plan.add_argument("--bundle", required=True)
     plan.add_argument("--target", type=float, required=True)
-    plan.add_argument("--p-embd", type=float)
-    plan.add_argument("--p-svd", type=float)
-    plan.add_argument("--search", type=int,
-                      help="sample this many fraction pairs instead")
-    plan.add_argument("--seed", type=int,
-                      help="seed of the --search sampler (default 0)")
+    plan.add_argument("--p-embd", type=float, required=True)
+    plan.add_argument("--p-svd", type=float, required=True)
     plan.add_argument("--delta", type=float, default=0.9)
     plan.add_argument("--out", required=True)
     plan.set_defaults(func=_cmd_plan)
@@ -207,16 +198,6 @@ def _parser():
 
 
 def _validate(parser, args):
-    if args.command == "plan":
-        manual = args.p_embd is not None or args.p_svd is not None
-        if args.search is None and not (args.p_embd is not None
-                                        and args.p_svd is not None):
-            parser.error("plan needs either --p-embd and --p-svd, "
-                         "or --search N")
-        if args.search is not None and manual:
-            parser.error("--search excludes --p-embd/--p-svd")
-        if args.search is None and args.seed is not None:
-            parser.error("--seed needs --search")
     if (args.command == "analyze" and args.prune_fraction is not None
             and args.mode != "hybrid"):
         parser.error("--prune-fraction needs --mode hybrid")

@@ -425,9 +425,6 @@ class EncoderModel:
             return self.params[keys[0]] @ self.params[keys[1]].T
         return self.params[slot]
 
-    def zero_grads(self):
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
-
     # ---- bundle conversion -------------------------------------------
 
     def to_bundle(self):
@@ -666,7 +663,7 @@ class EncoderModel:
         cfg = self.config
         tokens = cache["tokens"]
         b, n = tokens.shape
-        grads = self.zero_grads()
+        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         scale = 1.0 / math.sqrt(cfg.head_dim)
 
         dlogits = inj.logits
@@ -824,10 +821,7 @@ class Adam:
             v *= b2
             v += (1.0 - b2) * g * g
             update = (m / correction1) / (np.sqrt(v / correction2) + self.EPS)
-            self.params_step(model, key, update)
-
-    def params_step(self, model, key, update):
-        model.params[key] -= self.lr * update
-        mask = model.masks.get(key)
-        if mask is not None:
-            model.params[key] *= mask
+            model.params[key] -= self.lr * update
+            mask = model.masks.get(key)
+            if mask is not None:
+                model.params[key] *= mask

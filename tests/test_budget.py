@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from slimformer.budget import (
     plan_check,
     plan_from_fractions,
     pruning_fraction,
-    random_search,
     save_plan,
     solve_budget,
     transformer_shapes,
@@ -83,6 +83,21 @@ def test_solve_budget_infeasible():
     big_cls = ShapeTable([("w", "encoder", 8, 8), ("c", "classifier", 40, 40)])
     with pytest.raises(InfeasibleBudgetError):
         solve_budget(big_cls, 0.5, 1.0, 0.5)  # classifier alone is 96%
+
+
+def test_solve_budget_range_errors():
+    """The plan's own checks run first, in field order, so a bad delta
+    on a table with no encoder is a RangeError, not infeasible."""
+    for args, message in [((0.0, 0.5, 0.5), "p_overall must be in (0, 1]"),
+                          ((0.4, 1.5, 0.5), "p_embd must be in (0, 1]"),
+                          ((0.4, 0.5, -1.0), "p_svd must be in (0, 1]")]:
+        with pytest.raises(RangeError, match=re.escape(message)):
+            solve_budget(TOY, *args)
+    no_encoder = ShapeTable([("c", "classifier", 4, 4)])
+    with pytest.raises(RangeError, match="delta"):
+        solve_budget(no_encoder, 0.5, 0.5, 0.5, delta=1.0)
+    with pytest.raises(InfeasibleBudgetError):
+        solve_budget(no_encoder, 0.5, 0.5, 0.5)
 
 
 def test_solved_plan_allocation_is_exact():
@@ -160,32 +175,6 @@ def test_implied_overall_round_trip():
     implied = implied_overall(TOY, plan.p_embd, plan.p_svd,
                               pruning_fraction(TOY, plan))
     assert abs(implied - 0.4) < 1e-12
-
-
-def test_random_search_constant_evaluator_is_first_feasible():
-    a = random_search(TOY, 0.4, 5, lambda plan: 0.0, seed=7)
-    b = random_search(TOY, 0.4, 5, lambda plan: 0.0, seed=7)
-    assert a == b
-    one = random_search(TOY, 0.4, 1, lambda plan: 123.0, seed=7)
-    assert (one.p_embd, one.p_svd) == (a.p_embd, a.p_svd)
-
-
-def test_random_search_scores_drive_selection():
-    target = 0.4
-    plan = random_search(
-        TOY, target, 12,
-        lambda p: -abs(plan_check(TOY, p).achieved_overall - target),
-        seed=3,
-    )
-    report = plan_check(TOY, plan)
-    assert abs(report.achieved_overall - target) <= 0.01 * target
-
-
-def test_random_search_errors():
-    with pytest.raises(RangeError):
-        random_search(TOY, 0.4, 0, lambda p: 0.0)
-    with pytest.raises(InfeasibleBudgetError):
-        random_search(TOY, 0.02, 8, lambda p: 0.0, seed=1)
 
 
 def test_plan_file_round_trip(tmp_path):

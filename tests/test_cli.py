@@ -5,9 +5,11 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from slimformer.budget import (CompressionPlan, load_plan, pruning_fraction,
                                save_plan)
 import slimformer
-from slimformer.cli import main
+from slimformer.cli import _parser, main
 from slimformer.model import (TOY_CONFIG, init_model, load_model,
                               save_config, save_model)
 from slimformer.tensor import load_bundle, save_bundle
@@ -100,6 +102,38 @@ def run_limited(code, args):
                           timeout=300)
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """argv of each slimformer command in README.md's Command line sh
+    block, continuation lines joined."""
+    section = README.read_text(encoding="utf-8").split(
+        "\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("slimformer ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    """Every command the README shows parses, and all but distill (run
+    by TestDistill) exit 0 in order against the README's teacher."""
+    monkeypatch.chdir(tmp_path)
+    save_model(init_model(TOY_CONFIG, seed=0), "teacher")
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "plan", "check", "compress", "distill", "analyze"}
+    for argv in commands:
+        try:
+            _parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {argv}")
+        if argv[0] != "distill":
+            assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
 class TestPlan:
     def test_manual_fractions(self, tmp_path, teacher_path, capsys):
         out = tmp_path / "plan.txt"
@@ -112,64 +146,32 @@ class TestPlan:
             0.831227, abs=1e-6)
         assert "achieved overall" in capsys.readouterr().out
 
-    def test_search(self, tmp_path, teacher_path):
-        """--seed seeds the search: the same seed writes the same plan,
-        another seed samples other fractions; the seed is not stored."""
-        def search(seed, name):
-            out = tmp_path / name
-            assert main(["plan", "--bundle", teacher_path, "--target", "0.4",
-                         "--search", "8", "--seed", seed,
-                         "--out", str(out)]) == 0
-            return out
-
-        out = search("3", "plan.txt")
-        plan = load_plan(out)
-        assert 0.15 <= plan.p_embd <= 1.0
-        assert 0.3 <= plan.p_svd <= 0.6
-        assert "seed" not in out.read_text()
-        assert search("3", "again.txt").read_text() == out.read_text()
-        other = load_plan(search("4", "other.txt"))
-        assert (other.p_embd, other.p_svd) != (plan.p_embd, plan.p_svd)
-
-    def test_search_negative_seed_is_range_error(self, tmp_path,
-                                                 teacher_path, capsys):
-        code = main(["plan", "--bundle", teacher_path, "--target", "0.4",
-                     "--search", "4", "--seed", "-1",
-                     "--out", str(tmp_path / "p.txt")])
-        assert code == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
-
-    def test_needs_fractions_or_search(self, tmp_path, teacher_path):
+    @pytest.mark.parametrize("fractions", [
+        ["--p-embd", "0.55"], ["--p-svd", "0.45"], [],
+    ], ids=["only-p-embd", "only-p-svd", "neither"])
+    def test_needs_both_fractions(self, tmp_path, teacher_path, capsys,
+                                  fractions):
         with pytest.raises(SystemExit) as excinfo:
             main(["plan", "--bundle", teacher_path, "--target", "0.4",
-                  "--out", str(tmp_path / "p.txt")])
+                  *fractions, "--out", str(tmp_path / "p.txt")])
         assert excinfo.value.code == 2
-
-    def test_search_without_seed_uses_seed_zero(self, tmp_path,
-                                                teacher_path):
-        out = tmp_path / "plan.txt"
-        assert main(["plan", "--bundle", teacher_path, "--target", "0.4",
-                     "--search", "4", "--out", str(out)]) == 0
-        zero = tmp_path / "zero.txt"
-        assert main(["plan", "--bundle", teacher_path, "--target", "0.4",
-                     "--search", "4", "--seed", "0", "--out", str(zero)]) == 0
-        assert out.read_text() == zero.read_text()
-
-    def test_seed_needs_search(self, tmp_path, teacher_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["plan", "--bundle", teacher_path, "--target", "0.4",
-                  "--p-embd", "0.55", "--p-svd", "0.45", "--seed", "3",
-                  "--out", str(tmp_path / "p.txt")])
-        assert excinfo.value.code == 2
-        assert "--seed needs --search" in capsys.readouterr().err
+        assert "required" in capsys.readouterr().err
         assert not (tmp_path / "p.txt").exists()
 
-    def test_search_excludes_manual(self, tmp_path, teacher_path):
+    @pytest.mark.parametrize("flag", ["search", "seed"])
+    def test_removed_flags_are_unrecognized(self, tmp_path, teacher_path,
+                                            capsys, flag):
+        """plan has no fraction sampler: a sampler scores every split
+        allocate can reach alike, so plan takes both fractions and its
+        flags are unknown arguments."""
         with pytest.raises(SystemExit) as excinfo:
             main(["plan", "--bundle", teacher_path, "--target", "0.4",
-                  "--search", "4", "--p-embd", "0.5", "--p-svd", "0.4",
+                  "--p-embd", "0.55", "--p-svd", "0.45", f"--{flag}", "4",
                   "--out", str(tmp_path / "p.txt")])
         assert excinfo.value.code == 2
+        assert (f"unrecognized arguments: --{flag} 4"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "p.txt").exists()
 
     def test_infeasible_target(self, tmp_path, teacher_path, capsys):
         code = main(["plan", "--bundle", teacher_path, "--target", "0.004",
@@ -404,6 +406,22 @@ class TestAnalyzeBias:
         assert code == 2
         capsys.readouterr()
 
+    def test_bins_above_value_count_is_range_error(self, teacher_path):
+        """More bins than pooled values exits 2 naming both counts,
+        before the bin edges are built: 1e10 edges would not fit the
+        child's 1.5 GB address space."""
+        proc = run_limited("import sys\n"
+                           "from slimformer.cli import main\n"
+                           "sys.exit(main(sys.argv[1:]))\n",
+                           ["analyze", "bias", "--bundle", teacher_path,
+                            "--mode", "prune", "--retain", "0.2",
+                            "--bins", "10000000000"])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert "10000000000" in proc.stderr
+        assert str(self.expected_cells(teacher_path)) in proc.stderr
+
     def test_bad_mode_is_usage_error(self, teacher_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze", "bias", "--bundle", teacher_path,
@@ -540,7 +558,7 @@ def mutated(name, data, rng):
 # one JSON line [case, command, exit code, stderr] per run
 FUZZ_CHILD = """
 import contextlib, io, json, sys, traceback
-from slimformer.cli import main
+from slimformer.cli import _parser, main
 for case in sys.argv[1:]:
     files = ["--bundle", f"{case}/teacher.bundle", "--plan", f"{case}/plan.txt"]
     for argv in (["check", *files], ["compress", *files, "--out", f"{case}/s"]):
