@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MappingError, RangeError, ShapeError
-from .model import GradInjections, run_on_workers, softmax
+from .model import GradInjections, softmax
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,10 @@ def distill_step(student, teacher, tokens, cfg, opt):
 
     Masked student entries keep gradient zero and stay exactly zero
     after the update.  The teacher is only read.  The teacher's forward
-    (item 0) and the student's cached forward (item 1) run side by side
-    through run_on_workers; when both raise, the teacher's error wins.
+    runs first, then the student's cached forward, on the calling thread.
     """
-    teacher_trace, (student_trace, cache) = run_on_workers(
-        lambda run: run(),
-        (lambda: teacher.forward(tokens),
-         lambda: student.forward(tokens, with_cache=True)))
+    teacher_trace = teacher.forward(tokens)
+    student_trace, cache = student.forward(tokens, with_cache=True)
     total, breakdown, inj = distill_injections(teacher_trace, student_trace, cfg)
     grads = student.backward(cache, inj)
     opt.step(student, grads)

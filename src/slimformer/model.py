@@ -1,10 +1,10 @@
 """A small transformer encoder classifier with hand-derived gradients.
 
-The model doubles as distillation teacher and student.  Weight slots
-come in three forms: dense, masked dense (pruned, zeros frozen), and
-factored (a low-rank pair, optionally masked).  Factored slots run as
-(x @ A) @ B.T in both passes and are never densified; masked slots
-still run dense products.  At the 40% plan the student computes 0.52
+The model doubles as distillation teacher and student.  Each weight slot
+has a Slot record, built with the model: dense, masked (pruned, zeros
+frozen), factored (a low-rank pair) or masked-factored.  Only array_name
+writes key suffixes.  Factored slots run as (x @ A) @ B.T in both passes
+and are never densified; masked slots still run dense products.  At the 40% plan the student computes 0.52
 of the teacher's forward multiply-adds at toy width and 0.46 at width
 256 (perfbench/madds.md), yet at toy width its forward is no faster
 (8.1 ms against the teacher's 7.4 ms on 256x16 tokens, two CPUs and
@@ -44,10 +44,10 @@ SciPy computes erf(-x) as -erf(x).  7.2 -> 3.8 ns per element on U(-1,1).
 
 run_on_workers runs independent jobs on WORKERS threads, the number of
 CPUs the process may run on: the caller and helpers from a pool made
-for the call and closed before it returns.  Its three users are the
-blocked forward (one job per block), tasks.evaluate (one unblocked
-forward per chunk of pooled_rows sequences) and distill.distill_step
-(the teacher's forward and the student's cached forward side by side).
+for the call and closed before it returns.  Its two users are the
+blocked forward (one job per block) and tasks.evaluate (one unblocked
+forward per chunk of pooled_rows sequences), where the threads halve
+the wall time on two CPUs.
 
 Importing slimformer changes one thing in the process: under glibc it
 calls mallopt once to fix malloc's mmap threshold at 32 MiB and its trim
@@ -328,34 +328,57 @@ def _flat(x):
     return x.reshape(-1, x.shape[-1])
 
 
+def array_name(base, half=None, mask=False):
+    """The one place key suffixes are written: slot `base`'s params key,
+    or that of its factored half "a" (m x r) or "b" (n x r); with
+    mask=True, the bundle entry name of that key's mask.  A key passed
+    as `base` names its own mask."""
+    key = base if half is None else f"{base}.{half}"
+    return f"{key}.mask" if mask else key
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One weight slot as a model holds it."""
+
+    name: str
+    group: str
+    kind: str         # dense, masked, factored or masked-factored
+    keys: tuple       # params keys: (name,), or the factored halves (a, b)
+    mask_keys: tuple  # those of keys that carry a mask
+    rank: int         # the halves' inner dimension; None unless factored
+    shape: tuple      # the weight's natural shape, (size,) for vectors
+
+
 class EncoderModel:
     """Mutable parameter store plus forward/backward for one config.
 
     params maps array keys to C-contiguous float64 ndarrays (copies of
     the arrays passed in, so the model never aliases its caller): a
-    weight slot `w` is either a single key "w" (dense, natural shape;
-    vectors are 1-D) or the pair "w.a"/"w.b" (factored halves, m x r
-    and n x r).  masks maps a subset of those keys to bool arrays, True
-    where the entry is kept; masked entries are zero and frozen.  The
-    constructor takes masks as bool arrays or as numeric arrays of
-    zeros and ones (bundle files hold float64 masks) and stores
-    mask == 1.  slots maps each slot name to
-    its (kind, keys): ("dense", ("w",)) or ("factored", ("w.a", "w.b")).
-    Construction raises InputError for any params/masks that do not fit
-    that layout.
+    weight slot is either its name as one key (natural shape; vectors
+    are 1-D) or the two keys array_name gives its factored halves.
+    masks maps a subset of those keys to bool arrays, True where the
+    entry is kept; masked entries are zero and frozen.  The constructor
+    takes masks as bool arrays or as numeric arrays of zeros and ones
+    (bundle files hold float64 masks) and stores mask == 1.  slots maps
+    each slot name, in shape-table order, to its Slot record, built
+    here from the shape table, params and masks; neither the records
+    nor the sets of keys change afterwards.  Construction raises
+    InputError for any params/masks that do not fit that layout.
     """
 
     def __init__(self, config, params, masks=None):
         self.config = config
         self.params = {k: np.array(v, dtype=np.float64, order="C")
                        for k, v in params.items()}
-        self.slots = {e.name: self._slot(e) for e in config.shapes()}
-        claimed = {key for _, keys in self.slots.values() for key in keys}
+        masks = masks or {}
+        self.slots = {e.name: self._slot(e, masks) for e in config.shapes()}
+        claimed = {key for s in self.slots.values() for key in s.keys}
         unclaimed = sorted(set(self.params) - claimed)
         if unclaimed:
             raise InputError(f"parameters {unclaimed} belong to no slot")
         self.masks = {}
-        for key, mask in (masks or {}).items():
+        for key, mask in masks.items():
             mask = np.asarray(mask)
             if key not in self.params:
                 raise InputError(f"mask for unknown parameter {key!r}")
@@ -369,9 +392,10 @@ class EncoderModel:
             # own copy
             self.params[key] *= self.masks[key]
 
-    def _slot(self, e):
-        """(kind, keys) of one shape entry, with its arrays' shapes checked."""
-        ka, kb = f"{e.name}.a", f"{e.name}.b"
+    def _slot(self, e, masks):
+        """The Slot record of one shape entry, its arrays' shapes checked."""
+        ka, kb = array_name(e.name, "a"), array_name(e.name, "b")
+        shape = (e.size,) if e.is_vector else (e.rows, e.cols)
         if ka in self.params or kb in self.params:
             if e.name in self.params:
                 raise InputError(f"slot {e.name!r} is both dense and factored")
@@ -387,14 +411,18 @@ class EncoderModel:
                 raise InputError(
                     f"factored slot {e.name!r} has halves {sa} and {sb}, "
                     f"expected ({e.rows}, r) and ({e.cols}, r)")
-            return ("factored", (ka, kb))
-        if e.name not in self.params:
+            keys, rank, kind = (ka, kb), sa[1], "factored"
+        elif e.name not in self.params:
             raise InputError(f"no parameters for slot {e.name!r}")
-        want = (e.size,) if e.is_vector else (e.rows, e.cols)
-        if self.params[e.name].shape != want:
+        elif self.params[e.name].shape != shape:
             raise InputError(f"slot {e.name!r} has shape "
-                             f"{self.params[e.name].shape}, expected {want}")
-        return ("dense", (e.name,))
+                             f"{self.params[e.name].shape}, expected {shape}")
+        else:
+            keys, rank, kind = (e.name,), None, "dense"
+        masked = tuple(key for key in keys if key in masks)
+        if masked:
+            kind = "masked-factored" if rank else "masked"
+        return Slot(e.name, e.group, kind, keys, masked, rank, shape)
 
     def copy(self):
         # the constructor copies every array once
@@ -407,10 +435,10 @@ class EncoderModel:
     def retained_by_group(self):
         """Live parameter count per bundle group."""
         counts = dict.fromkeys(("embedding", "encoder", "classifier"), 0)
-        for e in self.config.shapes():
-            for key in self.slots[e.name][1]:
-                mask = self.masks.get(key)
-                counts[e.group] += (int(mask.sum()) if mask is not None
+        for s in self.slots.values():
+            for key in s.keys:
+                counts[s.group] += (int(self.masks[key].sum())
+                                    if key in s.mask_keys
                                     else self.params[key].size)
         return counts
 
@@ -420,23 +448,20 @@ class EncoderModel:
         Densifying here is fine: this is for compression and analysis
         steps, not the compute path.
         """
-        kind, keys = self.slots[slot]
-        if kind == "factored":
-            return self.params[keys[0]] @ self.params[keys[1]].T
-        return self.params[slot]
+        return self._rows(slot, slice(None))
 
     # ---- bundle conversion -------------------------------------------
 
     def to_bundle(self):
         """(name, group, matrix) entries of the model's own arrays, no
-        copies: each key, then its mask as "<key>.mask"; vectors and
-        their masks are 1 x n views."""
+        copies: each key, then its mask under array_name(key, mask=True);
+        vectors and their masks are 1 x n views."""
         entries = []
-        for e in self.config.shapes():
-            for key in self.slots[e.name][1]:
-                entries.append((key, e.group, np.atleast_2d(self.params[key])))
-                if key in self.masks:
-                    entries.append((f"{key}.mask", e.group,
+        for s in self.slots.values():
+            for key in s.keys:
+                entries.append((key, s.group, np.atleast_2d(self.params[key])))
+                if key in s.mask_keys:
+                    entries.append((array_name(key, mask=True), s.group,
                                     np.atleast_2d(self.masks[key])))
         return entries
 
@@ -453,15 +478,16 @@ class EncoderModel:
             raise InputError(f"config key 'num_layers' is "
                              f"{config.num_layers}, but the bundle holds "
                              f"{layers} encoder layers")
+        vector_slots = {e.name for e in config.shapes() if e.is_vector}
+        # an entry named as the mask of another entry's key is that mask
+        mask_of = {array_name(name, mask=True): name for name, _, _ in entries}
         params = {}
         masks = {}
-        vector_slots = {e.name for e in config.shapes() if e.is_vector}
         for name, _, arr in entries:
-            is_mask = name.endswith(".mask")
-            key = name[: -len(".mask")] if is_mask else name
+            key = mask_of.get(name, name)
             if key in vector_slots:
                 arr = arr.reshape(-1)
-            (masks if is_mask else params)[key] = arr
+            (masks if name in mask_of else params)[key] = arr
         return cls(config, params, masks)
 
     # ---- forward ------------------------------------------------------
@@ -485,23 +511,16 @@ class EncoderModel:
             raise InputError("token id outside the vocabulary")
         return tokens
 
-    def _embed(self, tokens, cache):
-        kind, keys = self.slots["tok_embed"]
-        if kind == "factored":
-            a, b = (self.params[k] for k in keys)
-            rows = a[tokens]                      # (b, n, r)
-            tok = rows @ b.T
-            cache["tok_rows"] = rows
-        else:
-            tok = self.params["tok_embed"][tokens]
-        n = tokens.shape[1]
-        kind, keys = self.slots["pos_embed"]
-        if kind == "factored":
-            a, b = (self.params[k] for k in keys)
-            pos = a[:n] @ b.T
-        else:
-            pos = self.params["pos_embed"][:n]
-        return tok + pos[None, :, :]
+    def _rows(self, slot, rows):
+        """Rows of the slot's weight: A[rows] @ B.T when factored."""
+        s = self.slots[slot]
+        if s.rank:
+            return self.params[s.keys[0]][rows] @ self.params[s.keys[1]].T
+        return self.params[slot][rows]
+
+    def _embed(self, tokens):
+        pos = self._rows("pos_embed", slice(tokens.shape[1]))
+        return self._rows("tok_embed", tokens) + pos[None, :, :]
 
     def _split_heads(self, x):
         b, n, d = x.shape
@@ -513,18 +532,18 @@ class EncoderModel:
         return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
 
     def _slot_forward(self, slot, x, cache):
-        kind, keys = self.slots[slot]
-        if kind == "factored":
-            hidden = x @ self.params[keys[0]]
-            cache[f"{slot}.h"] = hidden
-            return hidden @ self.params[keys[1]].T
+        s = self.slots[slot]
+        if s.rank:
+            hidden = x @ self.params[s.keys[0]]
+            cache[slot] = hidden  # x @ A, under the slot's name
+            return hidden @ self.params[s.keys[1]].T
         return x @ self.params[slot]
 
     def _slot_backward(self, slot, x, dy, cache, grads):
-        kind, keys = self.slots[slot]
-        if kind == "factored":
-            ka, kb = keys
-            hidden = cache[f"{slot}.h"]
+        s = self.slots[slot]
+        if s.rank:
+            ka, kb = s.keys
+            hidden = cache[slot]
             dh = dy @ self.params[kb]
             grads[kb] += _flat(dy).T @ _flat(hidden)
             grads[ka] += _flat(x).T @ _flat(dh)
@@ -581,7 +600,7 @@ class EncoderModel:
     def _encode(self, tokens, cache, with_cache):
         """Embedding output, attention maps and hidden states of the
         encoder layers over checked tokens."""
-        x = self._embed(tokens, cache)
+        x = self._embed(tokens)
         embedding_out = x
         attention = []
         hidden = []
@@ -722,31 +741,22 @@ class EncoderModel:
 
         if inj.embedding is not None:
             dx = dx + inj.embedding
-        self._embed_backward(tokens, dx, cache, grads)
+        self._embed_backward(tokens, dx, grads)
         for key, mask in self.masks.items():
             grads[key] *= mask
         return grads
 
-    def _embed_backward(self, tokens, dx, cache, grads):
-        n = tokens.shape[1]
-        kind, keys = self.slots["tok_embed"]
-        if kind == "factored":
-            ka, kb = keys
-            rows = cache["tok_rows"]
-            drows = dx @ self.params[kb]
-            np.add.at(grads[ka], tokens, drows)
-            grads[kb] += _flat(dx).T @ _flat(rows)
-        else:
-            np.add.at(grads["tok_embed"], tokens, dx)
-        dpos = dx.sum(axis=0)
-        kind, keys = self.slots["pos_embed"]
-        if kind == "factored":
-            ka, kb = keys
-            a = self.params[ka]
-            grads[ka][:n] += dpos @ self.params[kb]
-            grads[kb] += dpos.T @ a[:n]
-        else:
-            grads["pos_embed"][:n] += dpos
+    def _embed_backward(self, tokens, dx, grads):
+        for slot, rows, d in (("tok_embed", tokens, dx),
+                              ("pos_embed", slice(tokens.shape[1]),
+                               dx.sum(axis=0))):
+            s = self.slots[slot]
+            if s.rank:
+                ka, kb = s.keys
+                np.add.at(grads[ka], rows, d @ self.params[kb])
+                grads[kb] += _flat(d).T @ _flat(self.params[ka][rows])
+            else:
+                np.add.at(grads[slot], rows, d)
 
 
 def init_model(config, seed=0):

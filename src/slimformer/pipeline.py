@@ -26,7 +26,7 @@ from .budget import CompressionPlan, allocate
 from .distill import DistillConfig, distill_step
 from .errors import DivergenceError, NonFiniteError, RangeError
 from .factorize import factorize_layer
-from .model import Adam, EncoderModel
+from .model import Adam, EncoderModel, array_name
 from .prune import keep_largest
 from .tasks import check_schedule, evaluate
 
@@ -112,14 +112,12 @@ def compress_model(model, plan):
     masks = {}
     for e in alloc.entries:
         if e.kind == "factored":
-            kind, keys = model.slots[e.name]
-            if kind == "factored":
-                w, b = (model.params[k] for k in keys)
-            else:
-                w, b = model.params[e.name], None
+            held = model.slots[e.name]
+            w, b = ((model.params[k] for k in held.keys) if held.rank
+                    else (model.params[e.name], None))
             pair = factorize_layer(w, e.rank, b=b)
-            units = ((f"{e.name}.a", pair.a, e.ones_a),
-                     (f"{e.name}.b", pair.b, e.ones_b))
+            units = ((array_name(e.name, "a"), pair.a, e.ones_a),
+                     (array_name(e.name, "b"), pair.b, e.ones_b))
         else:
             w = model.effective_weight(e.name)
             units = ((e.name, w, e.ones if e.kind == "masked" else w.size),)

@@ -377,8 +377,7 @@ class TestAnalyzeBias:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         counted = sum(int(r[2]) for r in rows[1:-1])
         assert counted == self.expected_cells(teacher_path)
-        kinds = {kind for kind, _ in load_model(student).slots.values()}
-        assert "factored" in kinds
+        assert any(s.rank for s in load_model(student).slots.values())
 
     @pytest.mark.parametrize("mode", ["prune", "svd"])
     def test_prune_fraction_needs_hybrid(self, teacher_path, capsys, mode):

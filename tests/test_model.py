@@ -7,16 +7,19 @@ bias never affects the loss because softmax rows are shift
 invariant) without masking anything above 1e-10 absolute.
 """
 
+import ast
 import functools
 import math
 import os
 import platform
+import re
 import resource
 import sys
 import tempfile
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -596,6 +599,29 @@ class TestBackward:
             for key in got:
                 assert np.array_equal(got[key], want[key]), (kind, key)
 
+    @settings(max_examples=24, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(SLOT_KINDS), st.integers(0, 2 ** 32 - 1))
+    def test_gradient_contract_for_every_slot_kind(self, kind, seed):
+        """Every factorable slot of one kind, masks placed at random:
+        backward matches central differences on every parameter, and
+        masked entries get exactly zero gradient and stay exactly zero
+        after an Adam step."""
+        cfg = small_config()
+        model = slot_kind_model(cfg, kind, seed)
+        assert {model.slots[name].kind for name in FACTORABLE_SLOTS} == {kind}
+        assert bool(model.masks) == kind.startswith("masked")
+        tokens = rand_tokens(np.random.default_rng(seed), cfg)
+        assert fd_check(model, tokens, sorted(model.params), seed,
+                        samples=60) < FD_TOL
+        _, inj = trace_loss_coeffs(model, tokens, seed)
+        _, cache = model.forward(tokens, with_cache=True)
+        grads = model.backward(cache, inj)
+        Adam(lr=1e-2).step(model, grads)
+        for key, mask in model.masks.items():
+            assert np.all(grads[key][~mask] == 0.0), key
+            assert np.all(model.params[key][~mask] == 0.0), key
+
     def test_zero_injection_zero_grads(self):
         model = init_model(small_config(), seed=1)
         tokens = rand_tokens(np.random.default_rng(0), small_config())
@@ -743,7 +769,90 @@ class TestFactoredSlots:
         assert masked.retained_count() == total - mask.size + 1
 
 
+TINY_CONFIG = ModelConfig(vocab_size=5, embed_dim=2, num_layers=1,
+                          num_heads=1, ffn_dim=3, max_seq_len=4, num_classes=2)
+# to_bundle's entries for slot_kind_model(TINY_CONFIG, kind, seed=50,
+# rank=1), as name:group:shape with the group cut to three letters,
+# written down when slots were still (kind, keys) tuples
+BUNDLE_LAYOUTS = {
+    "dense": """
+    tok_embed:emb:5x2 pos_embed:emb:4x2 enc0.attn.wq:enc:2x2
+    enc0.attn.wk:enc:2x2 enc0.attn.wv:enc:2x2 enc0.attn.wo:enc:2x2
+    enc0.attn.bq:enc:1x2 enc0.attn.bk:enc:1x2 enc0.attn.bv:enc:1x2
+    enc0.attn.bo:enc:1x2 enc0.ln1.gamma:enc:1x2 enc0.ln1.beta:enc:1x2
+    enc0.ffn.w1:enc:2x3 enc0.ffn.b1:enc:1x3 enc0.ffn.w2:enc:3x2
+    enc0.ffn.b2:enc:1x2 enc0.ln2.gamma:enc:1x2 enc0.ln2.beta:enc:1x2
+    cls.w:cla:2x2 cls.b:cla:1x2
+    """,
+    "masked": """
+    tok_embed:emb:5x2 tok_embed.mask:emb:5x2 pos_embed:emb:4x2
+    pos_embed.mask:emb:4x2 enc0.attn.wq:enc:2x2
+    enc0.attn.wq.mask:enc:2x2 enc0.attn.wk:enc:2x2
+    enc0.attn.wk.mask:enc:2x2 enc0.attn.wv:enc:2x2
+    enc0.attn.wv.mask:enc:2x2 enc0.attn.wo:enc:2x2
+    enc0.attn.wo.mask:enc:2x2 enc0.attn.bq:enc:1x2 enc0.attn.bk:enc:1x2
+    enc0.attn.bv:enc:1x2 enc0.attn.bo:enc:1x2 enc0.ln1.gamma:enc:1x2
+    enc0.ln1.beta:enc:1x2 enc0.ffn.w1:enc:2x3 enc0.ffn.w1.mask:enc:2x3
+    enc0.ffn.b1:enc:1x3 enc0.ffn.w2:enc:3x2 enc0.ffn.w2.mask:enc:3x2
+    enc0.ffn.b2:enc:1x2 enc0.ln2.gamma:enc:1x2 enc0.ln2.beta:enc:1x2
+    cls.w:cla:2x2 cls.w.mask:cla:2x2 cls.b:cla:1x2
+    """,
+    "factored": """
+    tok_embed.a:emb:5x1 tok_embed.b:emb:2x1 pos_embed.a:emb:4x1
+    pos_embed.b:emb:2x1 enc0.attn.wq.a:enc:2x1 enc0.attn.wq.b:enc:2x1
+    enc0.attn.wk.a:enc:2x1 enc0.attn.wk.b:enc:2x1 enc0.attn.wv.a:enc:2x1
+    enc0.attn.wv.b:enc:2x1 enc0.attn.wo.a:enc:2x1 enc0.attn.wo.b:enc:2x1
+    enc0.attn.bq:enc:1x2 enc0.attn.bk:enc:1x2 enc0.attn.bv:enc:1x2
+    enc0.attn.bo:enc:1x2 enc0.ln1.gamma:enc:1x2 enc0.ln1.beta:enc:1x2
+    enc0.ffn.w1.a:enc:2x1 enc0.ffn.w1.b:enc:3x1 enc0.ffn.b1:enc:1x3
+    enc0.ffn.w2.a:enc:3x1 enc0.ffn.w2.b:enc:2x1 enc0.ffn.b2:enc:1x2
+    enc0.ln2.gamma:enc:1x2 enc0.ln2.beta:enc:1x2 cls.w:cla:2x2
+    cls.b:cla:1x2
+    """,
+    "masked-factored": """
+    tok_embed.a:emb:5x1 tok_embed.a.mask:emb:5x1 tok_embed.b:emb:2x1
+    tok_embed.b.mask:emb:2x1 pos_embed.a:emb:4x1
+    pos_embed.a.mask:emb:4x1 pos_embed.b:emb:2x1
+    pos_embed.b.mask:emb:2x1 enc0.attn.wq.a:enc:2x1
+    enc0.attn.wq.a.mask:enc:2x1 enc0.attn.wq.b:enc:2x1
+    enc0.attn.wq.b.mask:enc:2x1 enc0.attn.wk.a:enc:2x1
+    enc0.attn.wk.a.mask:enc:2x1 enc0.attn.wk.b:enc:2x1
+    enc0.attn.wk.b.mask:enc:2x1 enc0.attn.wv.a:enc:2x1
+    enc0.attn.wv.a.mask:enc:2x1 enc0.attn.wv.b:enc:2x1
+    enc0.attn.wv.b.mask:enc:2x1 enc0.attn.wo.a:enc:2x1
+    enc0.attn.wo.a.mask:enc:2x1 enc0.attn.wo.b:enc:2x1
+    enc0.attn.wo.b.mask:enc:2x1 enc0.attn.bq:enc:1x2
+    enc0.attn.bk:enc:1x2 enc0.attn.bv:enc:1x2 enc0.attn.bo:enc:1x2
+    enc0.ln1.gamma:enc:1x2 enc0.ln1.beta:enc:1x2 enc0.ffn.w1.a:enc:2x1
+    enc0.ffn.w1.a.mask:enc:2x1 enc0.ffn.w1.b:enc:3x1
+    enc0.ffn.w1.b.mask:enc:3x1 enc0.ffn.b1:enc:1x3 enc0.ffn.w2.a:enc:3x1
+    enc0.ffn.w2.a.mask:enc:3x1 enc0.ffn.w2.b:enc:2x1
+    enc0.ffn.w2.b.mask:enc:2x1 enc0.ffn.b2:enc:1x2
+    enc0.ln2.gamma:enc:1x2 enc0.ln2.beta:enc:1x2 cls.w:cla:2x2
+    cls.w.mask:cla:2x2 cls.b:cla:1x2
+    """,
+}
+
+
+def array_bytes(arrays):
+    return {k: (v.dtype, v.shape, v.tobytes()) for k, v in arrays.items()}
+
+
 class TestBundleRoundTrip:
+    @pytest.mark.parametrize("kind", SLOT_KINDS)
+    def test_layout_and_round_trip_are_pinned(self, tmp_path, kind):
+        """The bundle entries keep their names, groups, order and shapes,
+        and a saved model loads with the same bytes and slot records."""
+        model = slot_kind_model(TINY_CONFIG, kind, seed=50, rank=1)
+        layout = [f"{name}:{group[:3]}:{m.shape[0]}x{m.shape[1]}"
+                  for name, group, m in model.to_bundle()]
+        assert layout == BUNDLE_LAYOUTS[kind].split()
+        save_model(model, tmp_path / "m")
+        back = load_model(tmp_path / "m")
+        assert back.slots == model.slots
+        assert array_bytes(back.params) == array_bytes(model.params)
+        assert array_bytes(back.masks) == array_bytes(model.masks)
+
     def test_to_from_bundle(self):
         cfg = small_config()
         model = init_model(cfg, seed=14)
@@ -1064,3 +1173,36 @@ class TestMaskContract:
         student = one_shot_compress(teacher, plan)
         assert student.masks
         assert resident_bytes(student) <= 0.55 * resident_bytes(teacher)
+
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "slimformer"
+# a key suffix spelled out: a dot that no identifier character precedes
+# (so whole names such as "cls.b" do not count), then a suffix word
+KEY_SUFFIX = re.compile(r"(?<!\w)\.(a|b|mask|h)\b")
+
+
+def test_key_suffixes_are_written_in_one_function():
+    """Outside model.array_name, no string in the package spells out the
+    factored halves' ".a"/".b", the mask entries' ".mask" or a ".h"
+    cache key; docstrings do not count."""
+    inside, outside = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docs, naming = set(), set()
+        for node in ast.walk(tree):
+            body = getattr(node, "body", None)
+            if (isinstance(body, list) and body
+                    and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)):
+                docs.add(id(body[0].value))
+            if (path.name == "model.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "array_name"):
+                naming.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docs
+                    and KEY_SUFFIX.search(node.value)):
+                site = f"{path.name}:{node.lineno} {node.value!r}"
+                (inside if id(node) in naming else outside).append(site)
+    assert not outside
+    assert inside  # the walk does see the naming function's own suffix

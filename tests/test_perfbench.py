@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from slimformer import model, tensor
+from slimformer import model, one_shot_compress, solve_budget, tensor
 from slimformer.model import TOY_CONFIG, init_model, load_model, save_model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -46,3 +46,17 @@ def test_traced_round_trip_counts_the_file_bytes(spans, tmp_path):
     for span in ("tensor.save_bundle", "tensor.load_bundle",
                  "model.to_bundle"):
         assert tracer.stats[span].calls == 1, span
+
+
+def test_madds_counts_the_record_based_model(monkeypatch):
+    """madds.model_madds finds factored slots by their ".a" keys: the
+    seed-11 trace's figures for the toy teacher and its P=0.4 one-shot
+    student."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    madds = importlib.import_module("madds")
+    teacher = init_model(TOY_CONFIG, seed=11)
+    plan = solve_budget(TOY_CONFIG.shapes(), 0.4, p_embd=0.55, p_svd=0.45)
+    student = one_shot_compress(teacher, plan)
+    assert student.retained_count() == 7899
+    assert madds.model_madds(teacher) == 295_008
+    assert madds.model_madds(student) == 153_696

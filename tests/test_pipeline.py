@@ -126,8 +126,7 @@ class TestCompressModel:
         the pairs' r x r cores."""
         student, _ = compress_model(init_model(TOY_CONFIG, seed=8),
                                     interpolated_plan(toy_plan(), 0.8))
-        factored = {name for name, (kind, _) in student.slots.items()
-                    if kind == "factored"}
+        factored = {name for name, s in student.slots.items() if s.rank}
         assert len(factored) == 14
         densified, svd_inputs = [], []
         effective_weight = EncoderModel.effective_weight
@@ -190,11 +189,10 @@ class TestCompressModel:
                         masks[e.name] = topk_mask(w, e.ones)
                         want[e.name] = w * masks[e.name]
                     continue
-                kind, keys = model.slots[e.name]
-                held_as = [model.params[k] for k in keys]  # w, or a and b
+                held = model.slots[e.name]
+                held_as = [model.params[k] for k in held.keys]  # w, or a, b
                 pair = factorize_layer(held_as[0], e.rank,
-                                       b=held_as[1] if kind == "factored"
-                                       else None)
+                                       b=held_as[1] if held.rank else None)
                 for key, arr, ones in ((f"{e.name}.a", pair.a, e.ones_a),
                                        (f"{e.name}.b", pair.b, e.ones_b)):
                     want[key] = arr
