@@ -9,9 +9,9 @@ in the method can be checked exactly.
 
 from .analysis import (bias_histogram, bias_matrix, bias_study,
                        compressed_matrix, gaussian_testbed, histogram_csv)
-from .budget import (CompressionPlan, allocate, implied_overall, load_plan,
-                     plan_check, plan_from_fractions, pruning_fraction,
-                     save_plan, solve_budget, transformer_shapes)
+from .budget import (CompressionPlan, allocate, load_plan, plan_check,
+                     plan_from_fractions, pruning_fraction, save_plan,
+                     solve_budget, transformer_shapes)
 from .distill import (DistillConfig, distill_injections, distill_step,
                       mse_loss, prediction_loss)
 from .factorize import (LowRankPair, factor_ratio, factorize_layer,

@@ -4,13 +4,14 @@ An overall retained fraction P is split per group by the constraint
 
     P * total = p_embd * |embedding| + (p_svd * p_weight) * |encoder| + |classifier|
 
-with the classifier group never compressed.  A plan stores P, p_embd
-and p_svd; pruning_fraction solves the constraint for p_weight.
-allocate turns a plan into exact integer retained counts per matrix:
-factor pairs get rank-floored storage, bias and norm vectors stay
-dense, and the remaining budget is spread over the encoder factor
-masks by largest-remainder rounding, so a feasible plan lands on
-round(P * total) exactly.  plan_check reports that simulation per group.
+with the classifier group never compressed.  A plan is P, p_embd, p_svd
+and the per-iteration delta; pruning_fraction solves the constraint
+for p_weight.  allocate turns a plan into exact integer retained counts
+per matrix: factor pairs get rank-floored storage, bias and norm
+vectors stay dense, and the remaining budget is spread over the encoder
+factor masks by largest-remainder rounding, so a feasible plan lands on
+round(P * total) exactly.  allocate alone decides feasibility and
+notes any budget it cannot spend; plan_check reports it per group.
 
 Budget arithmetic needs only shapes and groups, never values, so the
 functions here take a ShapeTable (a model's is ModelConfig.shapes());
@@ -127,7 +128,6 @@ class CompressionPlan:
     p_embd: float
     p_svd: float
     delta: float = 0.9
-    notes: tuple = ()
 
     def __post_init__(self):
         _check_fraction("p_overall", self.p_overall)
@@ -135,30 +135,15 @@ class CompressionPlan:
         _check_fraction("p_svd", self.p_svd)
         if not 0.0 < self.delta < 1.0:
             raise RangeError(f"delta must be in (0, 1), got {self.delta}")
-        object.__setattr__(self, "notes", tuple(self.notes))
-
-
-def implied_overall(shapes, p_embd, p_svd, p_weight):
-    """Overall retained fraction implied by the three group fractions."""
-    total = shapes.group_total()
-    return (p_embd * shapes.group_total("embedding")
-            + p_svd * p_weight * shapes.group_total("encoder")
-            + shapes.group_total("classifier")) / total
 
 
 def plan_from_fractions(shapes, p_embd, p_svd, p_weight, delta=0.9):
     """Plan carrying given group fractions; p_overall is the implied
     value, which is all that p_weight sets."""
-    overall = implied_overall(shapes, p_embd, p_svd, p_weight)
+    overall = (p_embd * shapes.group_total("embedding")
+               + p_svd * p_weight * shapes.group_total("encoder")
+               + shapes.group_total("classifier")) / shapes.group_total()
     return CompressionPlan(overall, p_embd, p_svd, delta=delta)
-
-
-def _encoder_budget(shapes, plan):
-    """Params the overall target leaves to the encoder:
-    P*total - p_embd*|embedding| - |classifier|."""
-    return (plan.p_overall * shapes.group_total()
-            - plan.p_embd * shapes.group_total("embedding")
-            - shapes.group_total("classifier"))
 
 
 def pruning_fraction(shapes, plan):
@@ -166,47 +151,21 @@ def pruning_fraction(shapes, plan):
 
     p_weight = (P*total - p_embd*|embedding| - |classifier|) / (p_svd*|encoder|).
     """
-    p_weight = _encoder_budget(shapes, plan) / (
-        plan.p_svd * shapes.group_total("encoder"))
+    encoder = shapes.group_total("encoder")
+    if encoder == 0:
+        return 1.0  # nothing to prune; allocate notes the unspent budget
+    p_weight = (plan.p_overall * shapes.group_total()
+                - plan.p_embd * shapes.group_total("embedding")
+                - shapes.group_total("classifier")) / (plan.p_svd * encoder)
     return min(max(p_weight, 0.0), 1.0)
 
 
 def solve_budget(shapes, p_overall, p_embd, p_svd, delta=0.9):
-    """Plan for the given fractions, checked against the budget constraint.
-
-    When the model can satisfy P without pruning, the pruning fraction
-    clamps to 1 and the plan carries an unmet-budget note.  Raises
-    RangeError for a fraction or delta out of range, before any budget
-    check; InfeasibleBudgetError when the budget cannot cover the
-    untouched groups, or when rank-floored storage alone already
-    exceeds it.
-    """
+    """Plan for the given fractions, checked by allocating it: raises
+    RangeError for a fraction or delta out of range, else allocate's
+    InfeasibleBudgetError when the plan does not fit."""
     plan = CompressionPlan(p_overall, p_embd, p_svd, delta=delta)
-    encd = shapes.group_total("encoder")
-    if encd == 0:
-        raise InfeasibleBudgetError("bundle has no encoder parameters", slack=0.0)
-    numerator = _encoder_budget(shapes, plan)
-    if numerator <= 0.0:
-        raise InfeasibleBudgetError(
-            f"budget {p_overall} * {shapes.group_total()} params cannot cover "
-            f"the embedding target and the untouched classifier; short by "
-            f"{-numerator:.1f}",
-            slack=numerator,
-        )
-    wanted = numerator / (p_svd * encd)
-    if wanted > 1.0:
-        unmet = numerator - p_svd * encd
-        plan = replace(plan, notes=(
-            f"p_weight clamped from {wanted:.6f} to 1; "
-            f"unmet budget {unmet:.1f} params",
-        ))
-    alloc = allocate(shapes, plan)  # raises when floors alone bust the budget
-    if alloc.retained_count < alloc.target_count:
-        shortfall = alloc.target_count - alloc.retained_count
-        plan = replace(plan, notes=plan.notes + (
-            f"rank-floored storage cannot reach the target; "
-            f"unmet budget {shortfall} params",
-        ))
+    allocate(shapes, plan)
     return plan
 
 
@@ -273,7 +232,7 @@ def allocate(shapes, plan):
     """
     total = shapes.group_total()
     target = int(math.floor(plan.p_overall * total + 0.5))
-    notes = list(plan.notes)
+    notes = []
 
     entries = []
     unit_cells = []  # encoder mask units: factor halves or dense matrices
@@ -315,7 +274,7 @@ def allocate(shapes, plan):
         raise InfeasibleBudgetError(
             f"dense and rank-floored storage already holds {fixed} params, "
             f"{-mask_budget} over the target {target}",
-            slack=float(-mask_budget),
+            slack=float(mask_budget),
         )
 
     storage = sum(unit_cells)
@@ -424,10 +383,8 @@ def plan_check(shapes, plan):
 
 
 def save_plan(plan, path):
-    """Write a plan as key=value lines; notes join with '|'."""
-    save_record(plan, path, notes="|".join(plan.notes))
+    save_record(plan, path)
 
 
 def load_plan(path):
-    return load_record(path, CompressionPlan,
-                       notes=lambda text: tuple(n for n in text.split("|") if n))
+    return load_record(path, CompressionPlan)

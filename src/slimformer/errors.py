@@ -38,7 +38,8 @@ class SvdConvergenceError(RuntimeError):
 
 
 class InfeasibleBudgetError(ValueError):
-    """The requested overall budget cannot be met; carries the shortfall."""
+    """Dense and rank-floored storage alone exceed the overall budget;
+    `slack` is the budget left after them, negative by the shortfall."""
 
     def __init__(self, message, slack):
         super().__init__(f"{message} (slack {slack:.6g})")

@@ -204,22 +204,23 @@ def _parse_entry_line(line: str):
     return name, group, rows, cols, offset, crc
 
 
-def save_record(record, path, **text) -> None:
-    """Write a dataclass record as key=value lines in field order; a
-    value is written as its f-string text unless `text` gives it."""
-    lines = [f"{f.name}={text.get(f.name, getattr(record, f.name))}\n"
+def save_record(record, path) -> None:
+    """Write a dataclass record as key=value lines in field order, each
+    value as its f-string text; every field's type must read that text
+    back to an equal value, as int and float (shortest repr) do."""
+    lines = [f"{f.name}={getattr(record, f.name)}\n"
              for f in dataclasses.fields(record)]
     Path(path).write_text("".join(lines), encoding="ascii")
 
 
-def load_record(path, record_type, **parse):
+def load_record(path, record_type):
     """Read one `record_type` dataclass record from key=value lines.
 
-    Blank and '#' lines are skipped.  A value is converted by
-    `parse[key]`, else by the field's type; a missing field takes its
-    default.  Raises InputError naming the file and the key for a line
-    without '=', an unknown, repeated or missing key, or a value that
-    its conversion or the record rejects.
+    Blank and '#' lines are skipped.  A value is converted by the
+    field's type; a missing field takes its default.  Raises InputError
+    naming the file and the key for a line without '=', an unknown,
+    repeated or missing key, or a value that its conversion or the
+    record rejects.
     """
     try:
         lines = Path(path).read_text(encoding="ascii").splitlines()
@@ -239,7 +240,7 @@ def load_record(path, record_type, **parse):
         if key in values:
             raise InputError(f"{path}: repeated key {key!r}")
         try:
-            values[key] = parse.get(key, types[key])(text.strip())
+            values[key] = types[key](text.strip())
         except ValueError as exc:
             raise InputError(f"{path}: bad value for {key!r}: {exc}") from exc
     for f in dataclasses.fields(record_type):

@@ -1,15 +1,15 @@
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from slimformer.budget import (
     CompressionPlan,
     ShapeTable,
     allocate,
-    implied_overall,
     load_plan,
     plan_check,
     plan_from_fractions,
@@ -70,16 +70,28 @@ def test_solve_budget_clamps_and_notes():
                          ("c", "classifier", 2, 2)])
     plan = solve_budget(shapes, 0.99, 0.9, 0.9)
     assert pruning_fraction(shapes, plan) == 1.0
-    assert any("clamped" in n for n in plan.notes)
+    assert allocate(shapes, plan).notes == (
+        "budget exceeds encoder factor storage by 31 params; masks disabled",)
     report = plan_check(shapes, plan)
     encoder = [g for g in report.groups if g.group == "encoder"][0]
     assert encoder.target_fraction == 0.9  # p_svd times the clamped 1
+    # no encoder at all: nothing to prune, the unspent budget is a note
+    no_encoder = ShapeTable([("e", "embedding", 8, 8),
+                             ("c", "classifier", 2, 2)])
+    plan = solve_budget(no_encoder, 0.99, 0.9, 0.9)
+    report = plan_check(no_encoder, plan)
+    assert report.feasible
+    assert report.allocation.notes == (
+        "no encoder factor storage; 15 params of budget left unused",)
 
 
 def test_solve_budget_infeasible():
     with pytest.raises(InfeasibleBudgetError) as exc:
         solve_budget(TOY, 0.01, 0.5, 0.5)
     assert exc.value.slack < 0
+    with pytest.raises(InfeasibleBudgetError) as direct:
+        allocate(TOY, CompressionPlan(0.01, 0.5, 0.5))
+    assert direct.value.slack == exc.value.slack
     big_cls = ShapeTable([("w", "encoder", 8, 8), ("c", "classifier", 40, 40)])
     with pytest.raises(InfeasibleBudgetError):
         solve_budget(big_cls, 0.5, 1.0, 0.5)  # classifier alone is 96%
@@ -164,7 +176,7 @@ def test_achieved_within_one_percent_on_wide_bundles():
                                 float(rng.uniform(0.3, 0.6)))
         except InfeasibleBudgetError:
             continue
-        if plan.notes:  # clamped p_weight reports unmet budget instead
+        if allocate(shapes, plan).notes:  # an unspent budget is noted
             continue
         report = plan_check(shapes, plan)
         assert abs(report.achieved_overall - p) <= 0.01 * p
@@ -172,17 +184,35 @@ def test_achieved_within_one_percent_on_wide_bundles():
 
 def test_implied_overall_round_trip():
     plan = solve_budget(TOY, 0.4, 0.55, 0.45)
-    implied = implied_overall(TOY, plan.p_embd, plan.p_svd,
-                              pruning_fraction(TOY, plan))
+    implied = plan_from_fractions(TOY, plan.p_embd, plan.p_svd,
+                                  pruning_fraction(TOY, plan)).p_overall
     assert abs(implied - 0.4) < 1e-12
 
 
-def test_plan_file_round_trip(tmp_path):
-    plan = solve_budget(TOY, 0.4, 0.55, 0.45)
+# exactly 1 skips a stage, so it is drawn on its own as well
+unit_fractions = st.one_of(st.just(1.0),
+                           st.floats(0.0, 1.0, exclude_min=True))
+stated_fractions = st.sampled_from([1 / 1.43, 1 / 1.56, 1 / 2.05, 2 / 15])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(stated_fractions, unit_fractions),
+       st.one_of(stated_fractions, unit_fractions),
+       st.one_of(stated_fractions, unit_fractions),
+       st.one_of(stated_fractions,
+                 st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+@example(0.4, 0.55, 0.45, 0.9)
+def test_plan_file_round_trip(tmp_path, p_overall, p_embd, p_svd, delta):
+    """Every field is written as its f-string text and read back to the
+    same float, bit for bit."""
+    plan = CompressionPlan(p_overall, p_embd, p_svd, delta=delta)
     path = tmp_path / "plan.txt"
     save_plan(plan, path)
     loaded = load_plan(path)
     assert loaded == plan
+    assert ([float(v).hex() for v in astuple(loaded)]
+            == [float(v).hex() for v in astuple(plan)])
 
 
 def test_plan_file_errors(tmp_path):
@@ -207,10 +237,13 @@ def test_plan_file_errors(tmp_path):
     ("p_overall=0.4\np_embd=0.55\n", "p_svd"),
     ("p_overall=0.4\np_embd=0.55\np_svd=0.45\nseed=x\n", "seed"),
     ("p_overall=0.4\np_embd=0.55\np_svd=0.45\nseed=7\n", "seed"),
+    ("p_overall=0.4\np_embd=0.55\np_svd=0.45\ndelta=0.9\nnotes=\n",
+     "notes"),
 ])
 def test_plan_file_keys_are_strict(tmp_path, text, key):
-    """A retired p_weight or seed line, an unknown, repeated or missing
-    key, or a bad value is an InputError naming the file and the key."""
+    """A retired p_weight, seed or notes line, an unknown, repeated or
+    missing key, or a bad value is an InputError naming the file and
+    the key."""
     path = tmp_path / "plan.txt"
     path.write_text(text)
     with pytest.raises(InputError, match=f"plan.txt.*'{key}'"):
@@ -221,7 +254,7 @@ def test_plan_file_has_no_pruning_fraction(tmp_path):
     path = tmp_path / "plan.txt"
     save_plan(solve_budget(TOY, 0.4, 0.55, 0.45), path)
     keys = [line.split("=")[0] for line in path.read_text().splitlines()]
-    assert keys == ["p_overall", "p_embd", "p_svd", "delta", "notes"]
+    assert keys == ["p_overall", "p_embd", "p_svd", "delta"]
     path.write_text("# comment\n\np_overall=0.4\np_embd=0.55\np_svd=0.45\n")
     assert load_plan(path) == CompressionPlan(0.4, 0.55, 0.45)
 
@@ -239,11 +272,6 @@ def shape_tables(draw):
     return ShapeTable([(f"w{i}", draw(st.sampled_from(GROUPS)),
                         draw(st.integers(1, 40)), draw(st.integers(1, 40)))
                        for i in range(draw(st.integers(1, 8)))])
-
-
-# exactly 1 skips a stage, so it is drawn on its own as well
-unit_fractions = st.one_of(st.just(1.0),
-                           st.floats(0.0, 1.0, exclude_min=True))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

@@ -173,6 +173,26 @@ class TestPlan:
                 in capsys.readouterr().err)
         assert not (tmp_path / "p.txt").exists()
 
+    def test_shortfall_is_noted_once_and_not_stored(self, tmp_path,
+                                                    teacher_path, capsys):
+        """Rank flooring leaves the p_svd=0.3 plan 1,448 params short:
+        one note says so, and the plan file keeps no note that a later
+        edit could make wrong."""
+        out = tmp_path / "plan.txt"
+        assert main(["plan", "--bundle", teacher_path, "--target", "0.4",
+                     "--p-embd", "0.55", "--p-svd", "0.3",
+                     "--out", str(out)]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("note:")]
+        assert len(notes) == 1 and "1448" in notes[0]
+        out.write_text(out.read_text().replace("p_svd=0.3\n",
+                                               "p_svd=0.45\n"))
+        assert main(["check", "--bundle", teacher_path,
+                     "--plan", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "note:" not in text
+        assert "retained params     7899\n" in text
+
     def test_infeasible_target(self, tmp_path, teacher_path, capsys):
         code = main(["plan", "--bundle", teacher_path, "--target", "0.004",
                      "--p-embd", "0.55", "--p-svd", "0.45",
@@ -463,12 +483,12 @@ class TestCheck:
         assert "total params        19747" in capsys.readouterr().out
 
     @pytest.mark.parametrize("line", ["p_weight=0.831227", "seed=3",
-                                      "rank=3", "p_svd=0.5"])
+                                      "notes=", "rank=3", "p_svd=0.5"])
     def test_stray_plan_key_is_format_error(self, tmp_path, teacher_path,
                                             capsys, line):
-        """A plan file from before the pruning fraction or the search
-        seed left the format, an unknown key or a repeated key exits 4
-        naming the key."""
+        """A plan file from before the pruning fraction, the search seed
+        or the stored notes left the format, an unknown key or a
+        repeated key exits 4 naming the key."""
         plan = write_plan(tmp_path)
         with open(plan, "a", encoding="ascii") as fh:
             fh.write(line + "\n")

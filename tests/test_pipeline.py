@@ -211,8 +211,7 @@ class TestCompressModel:
 class TestOneShot:
     def test_unit_plan_is_identity(self):
         teacher = init_model(TOY_CONFIG, seed=5)
-        plan = replace(toy_plan(), p_overall=1.0, p_embd=1.0, p_svd=1.0,
-                       notes=())
+        plan = replace(toy_plan(), p_overall=1.0, p_embd=1.0, p_svd=1.0)
         student = one_shot_compress(teacher, plan)
         assert set(student.params) == set(teacher.params)
         for key in teacher.params:
@@ -242,8 +241,7 @@ class TestOneShot:
 class TestRunPipeline:
     def test_unit_plan_zero_iterations(self):
         teacher = init_model(TOY_CONFIG, seed=8)
-        plan = replace(toy_plan(), p_overall=1.0, p_embd=1.0, p_svd=1.0,
-                       notes=())
+        plan = replace(toy_plan(), p_overall=1.0, p_embd=1.0, p_svd=1.0)
         result = run_pipeline(teacher, plan, small_task(), seed=0)
         assert result.records == ()
         assert result.states == ()

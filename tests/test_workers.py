@@ -298,6 +298,9 @@ class StudentFailure(Exception):
 
 @pytest.mark.usefixtures("fast_switching")
 class TestPooledDistillStep:
+    """distill_step reads no WORKERS; the tests still run with it above
+    1 so that a step which started helper threads again would fail."""
+
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_byte_equal_to_serial(self, monkeypatch, workers):
         """Three steps per student slot kind: the same loss, breakdown
