@@ -101,18 +101,18 @@ def bias_histogram(bias, mode, bins=101):
     )
 
 
-def bias_study(w, retain, split=None, bins=101):
+def bias_study(w, retain, split=None):
     """Bias histograms of the three schemes at one retained fraction.
 
-    Returns (prune, svd, hybrid) histograms, all computed one-shot with
-    no fine-tuning.  The pure arms compress straight to retain; the
-    hybrid arm uses the split (svd fraction, prune fraction), whose
-    product must equal retain.
+    Returns (prune, svd, hybrid) histograms of bias_histogram's default
+    bins, all computed one-shot with no fine-tuning.  The pure arms
+    compress straight to retain; the hybrid arm uses the split (svd
+    fraction, prune fraction), whose product must equal retain.
     """
     out = []
     for mode in MODES:
         compressed = compressed_matrix(w, mode, retain, split=split)
-        out.append(bias_histogram(bias_matrix(w, compressed), mode, bins=bins))
+        out.append(bias_histogram(bias_matrix(w, compressed), mode))
     return tuple(out)
 
 

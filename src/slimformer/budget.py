@@ -7,11 +7,14 @@ An overall retained fraction P is split per group by the constraint
 with the classifier group never compressed.  A plan is P, p_embd, p_svd
 and the per-iteration delta; pruning_fraction solves the constraint
 for p_weight.  allocate turns a plan into exact integer retained counts
-per matrix: factor pairs get rank-floored storage, bias and norm
-vectors stay dense, and the remaining budget is spread over the encoder
-factor masks by largest-remainder rounding, so a feasible plan lands on
-round(P * total) exactly.  allocate alone decides feasibility and
-notes any budget it cannot spend; plan_check reports it per group.
+per matrix in one pass over the table, building each entry once with
+its kind and rank: bias and norm vectors stay dense, factor pairs get
+rank-floored storage, and encoder matrices are masked dense when
+p_svd is 1.  The budget left after everything else is spread over the
+encoder masks by largest-remainder rounding, so a feasible plan lands
+on round(P * total) exactly, rounded as prune.ones_for_fraction rounds.
+allocate alone decides feasibility and notes any budget it cannot
+spend; plan_check reports it per group.
 
 Budget arithmetic needs only shapes and groups, never values, so the
 functions here take a ShapeTable (a model's is ModelConfig.shapes());
@@ -23,6 +26,7 @@ from dataclasses import dataclass, replace
 
 from .errors import InfeasibleBudgetError, InputError, RangeError
 from .factorize import rank_for_ratio
+from .prune import ones_for_fraction
 from .tensor import GROUPS, load_record, save_record
 
 
@@ -137,13 +141,13 @@ class CompressionPlan:
             raise RangeError(f"delta must be in (0, 1), got {self.delta}")
 
 
-def plan_from_fractions(shapes, p_embd, p_svd, p_weight, delta=0.9):
-    """Plan carrying given group fractions; p_overall is the implied
-    value, which is all that p_weight sets."""
+def plan_from_fractions(shapes, p_embd, p_svd, p_weight):
+    """Plan carrying given group fractions and the default delta;
+    p_overall is the implied value, which is all that p_weight sets."""
     overall = (p_embd * shapes.group_total("embedding")
                + p_svd * p_weight * shapes.group_total("encoder")
                + shapes.group_total("classifier")) / shapes.group_total()
-    return CompressionPlan(overall, p_embd, p_svd, delta=delta)
+    return CompressionPlan(overall, p_embd, p_svd)
 
 
 def pruning_fraction(shapes, plan):
@@ -220,55 +224,39 @@ def _largest_remainder(budget, cells):
 def allocate(shapes, plan):
     """Exact integer retained counts realizing the plan on a bundle.
 
-    Classifier entries and all vectors stay dense.  Embedding matrices
-    are factorized at p_embd, encoder matrices at p_svd (rank floored);
-    a fraction of exactly 1.0 skips that stage, so the identity plan is
-    a true no-op and p_svd=1 means pruning acts on the dense matrices.
-    The leftover budget round(p_overall * total) minus everything fixed
-    becomes the encoder mask ones, split over the mask units (factor
-    halves, or dense matrices when unfactorized) by largest-remainder
-    rounding, so the total retained count hits the target whenever it
-    is reachable.
+    One pass over the table builds each entry with its final kind and
+    rank.  Classifier entries and all vectors stay dense.  Embedding
+    matrices are factorized at p_embd, encoder matrices at p_svd (rank
+    floored), every factor entry kept; a fraction of exactly 1.0 skips
+    that stage, so the identity plan is a true no-op and p_svd=1 means
+    pruning acts on the dense encoder matrices.  The target
+    round(p_overall * total) minus everything else retained becomes the
+    encoder mask ones, split over the mask units (each masked matrix,
+    or both halves of each encoder pair, in table order) by
+    largest-remainder rounding, so the total retained count hits the
+    target whenever it is reachable.
     """
-    total = shapes.group_total()
-    target = int(math.floor(plan.p_overall * total + 0.5))
-    notes = []
-
+    target = ones_for_fraction(plan.p_overall, shapes.group_total())
     entries = []
-    unit_cells = []  # encoder mask units: factor halves or dense matrices
-    unit_slots = []  # (entry index, "a" | "b" | "dense")
-    fixed = 0
     for e in shapes:
-        if e.group == "classifier" or e.is_vector:
+        p = plan.p_embd if e.group == "embedding" else plan.p_svd
+        if e.group == "classifier" or e.is_vector or (
+                e.group == "embedding" and p == 1.0):
             entries.append(EntryPlan(e.name, e.group, e.rows, e.cols, "dense"))
-            fixed += e.size
-        elif e.group == "embedding":
-            if plan.p_embd == 1.0:
-                entries.append(EntryPlan(e.name, e.group, e.rows, e.cols,
-                                         "dense"))
-                fixed += e.size
-                continue
-            r = rank_for_ratio(e.rows, e.cols, plan.p_embd)
+        elif p == 1.0:
+            entries.append(EntryPlan(e.name, e.group, e.rows, e.cols,
+                                     "masked", ones=e.size))
+        else:
+            r = rank_for_ratio(e.rows, e.cols, p)
             entries.append(EntryPlan(e.name, e.group, e.rows, e.cols,
                                      "factored", rank=r,
                                      ones_a=e.rows * r, ones_b=e.cols * r))
-            fixed += (e.rows + e.cols) * r
-        elif plan.p_svd == 1.0:
-            idx = len(entries)
-            entries.append(EntryPlan(e.name, e.group, e.rows, e.cols,
-                                     "masked"))
-            unit_slots.append((idx, "dense"))
-            unit_cells.append(e.size)
-        else:
-            r = rank_for_ratio(e.rows, e.cols, plan.p_svd)
-            idx = len(entries)
-            entries.append(EntryPlan(e.name, e.group, e.rows, e.cols,
-                                     "factored", rank=r))
-            unit_slots.append((idx, "a"))
-            unit_cells.append(e.rows * r)
-            unit_slots.append((idx, "b"))
-            unit_cells.append(e.cols * r)
 
+    units = [e for e in entries if e.group == "encoder" and e.kind != "dense"]
+    cells = [n for e in units for n in ((e.ones,) if e.kind == "masked"
+                                        else (e.ones_a, e.ones_b))]
+    storage = sum(cells)
+    fixed = sum(e.retained for e in entries) - storage
     mask_budget = target - fixed
     if mask_budget < 0:
         raise InfeasibleBudgetError(
@@ -277,31 +265,21 @@ def allocate(shapes, plan):
             slack=float(mask_budget),
         )
 
-    storage = sum(unit_cells)
-    if storage == 0:
-        ones = []
-        if mask_budget > 0:
-            notes.append(f"no encoder factor storage; {mask_budget} params "
-                         "of budget left unused")
-    elif mask_budget >= storage:
-        ones = list(unit_cells)
-        if mask_budget > storage:
-            notes.append(f"budget exceeds encoder factor storage by "
-                         f"{mask_budget - storage} params; masks disabled")
-    else:
-        ones = _largest_remainder(mask_budget, unit_cells)
-
-    for (idx, half), k in zip(unit_slots, ones):
-        e = entries[idx]
-        if half == "a":
-            entries[idx] = replace(e, ones_a=k)
-        elif half == "b":
-            entries[idx] = replace(e, ones_b=k)
-        else:
-            entries[idx] = replace(e, ones=k)
-
+    notes = ()
+    if storage == 0 and mask_budget > 0:
+        notes = (f"no encoder factor storage; {mask_budget} params "
+                 "of budget left unused",)
+    elif mask_budget > storage:
+        notes = (f"budget exceeds encoder factor storage by "
+                 f"{mask_budget - storage} params; masks disabled",)
+    elif mask_budget < storage:
+        ones = iter(_largest_remainder(mask_budget, cells))
+        split = {e.name: replace(e, ones=next(ones)) if e.kind == "masked"
+                 else replace(e, ones_a=next(ones), ones_b=next(ones))
+                 for e in units}
+        entries = [split.get(e.name, e) for e in entries]
     retained = sum(e.retained for e in entries)
-    return Allocation(tuple(entries), target, retained, tuple(notes))
+    return Allocation(tuple(entries), target, retained, notes)
 
 
 @dataclass(frozen=True)

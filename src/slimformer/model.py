@@ -468,7 +468,8 @@ class EncoderModel:
     @classmethod
     def from_bundle(cls, entries, config):
         """The model (name, group, matrix) entries hold for config; the
-        constructor makes the one writable copy.  The shape table grows
+        constructor makes the one writable copy, and each entry, masks
+        included, must carry its slot's group.  The shape table grows
         with num_layers, so that is checked against the encoder layers
         the entries name before the table is built: a corrupt config
         raises InputError instead of exhausting memory."""
@@ -488,7 +489,15 @@ class EncoderModel:
             if key in vector_slots:
                 arr = arr.reshape(-1)
             (masks if name in mask_of else params)[key] = arr
-        return cls(config, params, masks)
+        model = cls(config, params, masks)
+        group_of = {key: s.group for s in model.slots.values()
+                    for key in s.keys}
+        for name, group, _ in entries:
+            slot_group = group_of[mask_of.get(name, name)]
+            if group != slot_group:
+                raise InputError(f"entry {name!r} is tagged {group!r}, but "
+                                 f"its slot is in group {slot_group!r}")
+        return model
 
     # ---- forward ------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from dataclasses import astuple
@@ -110,6 +111,32 @@ def test_solve_budget_range_errors():
         solve_budget(no_encoder, 0.5, 0.5, 0.5, delta=1.0)
     with pytest.raises(InfeasibleBudgetError):
         solve_budget(no_encoder, 0.5, 0.5, 0.5)
+
+
+WIDE = transformer_shapes(64, 256, 2, 1024, 16, 3)
+PINNED_PLANS = [(0.4, 0.55, 0.45), (0.2, 0.55, 0.45), (0.4, 0.55, 1.0),
+                (0.4, 1.0, 0.45), (1, 1, 1), (0.4, 0.55, 0.3)]
+
+
+def test_allocations_are_pinned():
+    """Every field of allocate's result on the toy, wide and reference
+    tables at six plans, reaching the p_svd=1, p_embd=1, identity and
+    unmet-budget branches that no workload or demo takes: the SHA-256
+    of their reprs in that order, with the retained counts spelled out
+    so that a change shows where it lands."""
+    digest = hashlib.sha256()
+    retained = []
+    for shapes in (TOY, WIDE, REFERENCE):
+        for p in PINNED_PLANS:
+            alloc = allocate(shapes, CompressionPlan(*p))
+            digest.update(repr(alloc).encode())
+            retained.append(alloc.retained_count)
+    assert retained == [
+        7899, 3949, 7899, 7899, 19747, 6451,
+        640308, 320154, 640308, 640308, 1600771, 486531,
+        43793819, 21896909, 43793819, 43793819, 109484547, 39257693]
+    assert digest.hexdigest() == (
+        "80e2390e837c9f0a49b511fc8497cd9ef0c17917d9334e3c585bea687858854d")
 
 
 def test_solved_plan_allocation_is_exact():

@@ -84,6 +84,16 @@ def duplicate_name(data):
     return "\n".join(lines).encode("ascii") + blob
 
 
+def retagged(data):
+    """tok_embed's entry tagged classifier; checksums cover values only,
+    so the file still loads."""
+    lines, rows, blob = _manifest(data)
+    tok = lines[rows["tok_embed"]].split()
+    tok[2] = "classifier"
+    lines[rows["tok_embed"]] = " ".join(tok)
+    return "\n".join(lines).encode("ascii") + blob
+
+
 # address-space limit of a CLI run in a child process, so that a
 # runaway allocation fails the test instead of the machine
 CHILD_AS_LIMIT = 1500 * 2 ** 20
@@ -252,16 +262,20 @@ class TestCompress:
          "enc0.attn.wq.b": np.ones((32, 4))},
         {"enc0.attn.wq": np.ones((5, 7))},
         {"enc0.attn.wq.mask": np.full((32, 32), 0.5)},
+        {"tok_embed.mask": np.ones((64, 32))},
         nan_payload,
         aliasing_offset,
         trailing_bytes,
         duplicate_name,
+        retagged,
     ], ids=["unclaimed-key", "dense-and-factored", "wrong-shape",
-            "non-binary-mask", "nan-payload", "aliasing-offset",
-            "trailing-bytes", "duplicate-name"])
+            "non-binary-mask", "mask-in-another-group", "nan-payload",
+            "aliasing-offset", "trailing-bytes", "duplicate-name",
+            "entry-in-another-group"])
     def test_bad_bundle(self, tmp_path, edit, capsys):
-        """The teacher's bundle with entries added or replaced, or its
-        saved bytes edited; a file the loader rejects also fails check."""
+        """The teacher's bundle with entries added or replaced (tagged
+        encoder), or its saved bytes edited; a file the loader rejects
+        also fails check, and compress writes no student."""
         entries = {name: (group, m) for name, group, m
                    in init_model(TOY_CONFIG, seed=0).to_bundle()}
         if isinstance(edit, dict):
@@ -277,6 +291,7 @@ class TestCompress:
                      "--out", str(tmp_path / "s")])
         assert code == 4
         assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("s.*"))
         if callable(edit):
             assert main(["check", "--bundle", str(path), "--plan", plan]) == 4
 

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from slimformer import model, one_shot_compress, solve_budget, tensor
+from slimformer import (CompressionPlan, allocate, model, one_shot_compress,
+                        solve_budget, tensor)
 from slimformer.model import TOY_CONFIG, init_model, load_model, save_model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -60,3 +61,23 @@ def test_madds_counts_the_record_based_model(monkeypatch):
     assert student.retained_count() == 7899
     assert madds.model_madds(teacher) == 295_008
     assert madds.model_madds(student) == 153_696
+
+
+@pytest.mark.parametrize("p_svd", [0.45, 1.0], ids=["hybrid", "prune-only"])
+def test_planned_student_follows_the_allocation(monkeypatch, p_svd):
+    """workloads.planned_student reads each EntryPlan's kind, rank and
+    ones counts: the wide-infer student built from the toy allocation
+    retains the target and has the allocation's slot kinds and ranks,
+    and madds.table reports the same retained count."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    madds = importlib.import_module("madds")
+    alloc = allocate(TOY_CONFIG.shapes(), CompressionPlan(0.4, 0.55, p_svd))
+    student = workloads.planned_student(init_model(TOY_CONFIG, seed=11),
+                                        alloc, 11)
+    assert alloc.retained_count == student.retained_count() == 7899
+    for e in alloc.entries:
+        slot = student.slots[e.name]
+        assert slot.kind.replace("masked-", "") == e.kind, e.name
+        assert slot.rank == (e.rank if e.kind == "factored" else None)
+    assert "7899 of 19747" in "\n".join(madds.table(TOY_CONFIG, "toy"))
