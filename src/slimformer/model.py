@@ -13,6 +13,10 @@ one BLAS thread each).
 Parameters are plain writable float64 arrays owned by the model, and
 masks are bool arrays (prune's mask type), an eighth of a float64
 array's bytes: a P=0.4 student holds about half its teacher's bytes.
+Each weight is made once.  The constructor copies the arrays a caller
+passes (load_model and copy() rely on that one copy); init_model and
+pipeline.compress_model hand the arrays they have just made to
+EncoderModel._adopt, which keeps them without a copy.
 Their structure (which keys form which slot, shapes, binary masks) is
 checked when a model is built; their values (finite entries) are checked
 at the file boundary, by tensor.save_bundle and tensor.load_bundle.  A
@@ -354,9 +358,11 @@ class EncoderModel:
     """Mutable parameter store plus forward/backward for one config.
 
     params maps array keys to C-contiguous float64 ndarrays (copies of
-    the arrays passed in, so the model never aliases its caller): a
-    weight slot is either its name as one key (natural shape; vectors
-    are 1-D) or the two keys array_name gives its factored halves.
+    the arrays passed in, so the model never aliases its caller; only
+    the library's builders, through _adopt, hand over arrays they have
+    just made instead): a weight slot is either its name as one key
+    (natural shape; vectors are 1-D) or the two keys array_name gives
+    its factored halves.
     masks maps a subset of those keys to bool arrays, True where the
     entry is kept; masked entries are zero and frozen.  The constructor
     takes masks as bool arrays or as numeric arrays of zeros and ones
@@ -368,9 +374,25 @@ class EncoderModel:
     """
 
     def __init__(self, config, params, masks=None):
+        self._hold(config, {k: np.array(v, dtype=np.float64, order="C")
+                            for k, v in params.items()}, masks)
+
+    @classmethod
+    def _adopt(cls, config, params, masks=None):
+        """The model holding params' own arrays, converted only where
+        they are not C-contiguous float64: for builders that have just
+        made them and keep no other reference, so each weight is built
+        once.  Arrays of another model must not be passed."""
+        model = cls.__new__(cls)
+        model._hold(config, {k: np.asarray(v, dtype=np.float64, order="C")
+                             for k, v in params.items()}, masks)
+        return model
+
+    def _hold(self, config, params, masks):
+        """Check params and masks against config's slots and keep them:
+        params as given, masks as new bool arrays."""
         self.config = config
-        self.params = {k: np.array(v, dtype=np.float64, order="C")
-                       for k, v in params.items()}
+        self.params = params
         masks = masks or {}
         self.slots = {e.name: self._slot(e, masks) for e in config.shapes()}
         claimed = {key for s in self.slots.values() for key in s.keys}
@@ -389,7 +411,7 @@ class EncoderModel:
             # a new array, so the model never aliases its caller's mask
             self.masks[key] = mask == 1
             # the same bits as multiplying by 1.0 / 0.0, on the model's
-            # own copy
+            # own array
             self.params[key] *= self.masks[key]
 
     def _slot(self, e, masks):
@@ -781,7 +803,7 @@ def init_model(config, seed=0):
                 params[e.name] = np.zeros(size)
         else:
             params[e.name] = rng.normal(0.0, INIT_STD, size=(e.rows, e.cols))
-    return EncoderModel(config, params)
+    return EncoderModel._adopt(config, params)
 
 
 def save_model(model, path_base):

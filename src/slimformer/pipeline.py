@@ -105,27 +105,32 @@ def compress_model(model, plan):
     Only a factor pair the allocation leaves dense or masked is
     multiplied out.  Arrays that keep every entry carry no mask (pure
     low-rank factorization, as for embedding matrices).  The model is
-    only read: the student's constructor copies every array it is given.
+    only read, and each student array is made once: the student adopts
+    the arrays factorize_layer, keep_largest and a multiplied-out pair
+    make, and only an unfactored slot kept whole, which keep_largest
+    hands back as the model's own array, is copied.
     """
     alloc = allocate(model.config.shapes(), plan)
     params = {}
     masks = {}
     for e in alloc.entries:
+        held = model.slots[e.name]
         if e.kind == "factored":
-            held = model.slots[e.name]
             w, b = ((model.params[k] for k in held.keys) if held.rank
                     else (model.params[e.name], None))
             pair = factorize_layer(w, e.rank, b=b)
             units = ((array_name(e.name, "a"), pair.a, e.ones_a),
                      (array_name(e.name, "b"), pair.b, e.ones_b))
         else:
+            # a view of the model's array unless the slot is held as a pair
             w = model.effective_weight(e.name)
             units = ((e.name, w, e.ones if e.kind == "masked" else w.size),)
         for key, arr, ones in units:
-            params[key], mask = keep_largest(arr, ones)
+            kept, mask = keep_largest(arr, ones)
+            params[key] = kept.copy() if kept is w and not held.rank else kept
             if mask is not None:
                 masks[key] = mask
-    return EncoderModel(model.config, params, masks), alloc
+    return EncoderModel._adopt(model.config, params, masks), alloc
 
 
 def one_shot_compress(teacher, plan):
@@ -142,15 +147,19 @@ def run_pipeline(teacher, plan, task, epochs_per_iteration=2, lr=2e-5,
 
     Fine-tuning distils with the default DistillConfig (every term
     weighted 1).  The teacher is only read.  A plan with p_overall = 1
-    returns a bit-identical copy of the teacher and no records.  Raises
+    returns a bit-identical copy of the teacher, sharing no memory with
+    it, and no records.  Raises
     DivergenceError (with a state dump) when the fine-tuning loss goes
     non-finite or grows tenfold over its minimum within an iteration.
     RangeError for negative epochs, a batch size below 1 or a negative
     seed.
     """
     check_schedule(epochs_per_iteration, batch_size, seed)
+    if plan.p_overall == 1.0:
+        return PipelineResult(teacher.copy(), (), ())
     cfg = DistillConfig()
-    student = teacher.copy()
+    # the first compress only reads the teacher and builds a new student
+    student = teacher
     shapes = teacher.config.shapes()
     total = shapes.group_total()
     rng = np.random.default_rng(seed)

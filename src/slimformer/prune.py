@@ -37,7 +37,9 @@ def topk_mask(w, k):
 
 def keep_largest(w, ones):
     """(w * mask, mask) for the topk_mask of the `ones` largest |w|
-    entries, or (w, None) when ones is w.size.  w is only read."""
+    entries, a new array, or (w, None) when ones is w.size: w itself,
+    no copy, so a caller that must not alias w makes the copy.  w is
+    only read."""
     if ones == w.size:
         return w, None
     mask = topk_mask(w, ones)

@@ -52,7 +52,7 @@ from slimformer.model import (
     softmax,
     truncated_config_for_budget,
 )
-from slimformer.pipeline import one_shot_compress
+from slimformer.pipeline import compress_model, one_shot_compress
 from slimformer.prune import keep_largest
 from slimformer.tasks import TaskConfig, evaluate, generate_task
 
@@ -99,6 +99,15 @@ def slot_kind_model(cfg, kind, seed, rank=4):
             for key in keys:
                 masks[key] = (rng.random(params[key].shape) > 0.4).astype(float)
     return EncoderModel(cfg, params, masks)
+
+
+def shares_any(model, other):
+    """Whether any param or mask array of model shares memory with one
+    of other's."""
+    theirs = [*other.params.values(), *other.masks.values()]
+    return any(np.shares_memory(mine, arr)
+               for mine in (*model.params.values(), *model.masks.values())
+               for arr in theirs)
 
 
 def traced_peak(job):
@@ -1042,8 +1051,9 @@ def wide_student():
 
 class TestWeightsHeldOnce:
     """tracemalloc peaks at width 256: loading holds the file once plus
-    the model, saving converts one entry at a time, and copy() copies
-    each array once."""
+    the model, saving converts one entry at a time, copy() copies each
+    array once, and init_model and compress_model hand the model the
+    arrays they make instead of having it copy them."""
 
     def test_load_holds_the_file_and_the_model(self, tmp_path):
         base = tmp_path / "student"
@@ -1060,6 +1070,24 @@ class TestWeightsHeldOnce:
         # the largest entry's float64 copy, and a tenth more for the
         # manifest text
         assert peak <= 1.1 * largest
+
+    def test_init_makes_each_array_once(self):
+        peak, model = traced_peak(lambda: init_model(WIDE_CONFIG, seed=21))
+        # 1.00x; 2.0x when the constructor copied the new arrays
+        assert peak <= 1.1 * resident_bytes(model)
+
+    def test_recompression_makes_each_array_once(self):
+        """Every factored slot of the P=0.4 student goes through
+        svd_product at P=0.3.  Peak 10.0 MB for a 6.5 MB student (1.55x);
+        14.1 MB (2.17x) when the constructor copied every array."""
+        source = wide_student()
+        plan = solve_budget(WIDE_CONFIG.shapes(), 0.3, p_embd=0.55,
+                            p_svd=0.45)
+        peak, (student, _) = traced_peak(lambda: compress_model(source, plan))
+        assert ([s.name for s in student.slots.values() if s.rank]
+                == [s.name for s in source.slots.values() if s.rank])
+        assert peak <= 1.8 * resident_bytes(student)
+        assert not shares_any(student, source)
 
     @pytest.mark.parametrize("kind", ["teacher", "student"])
     def test_copy_copies_once(self, kind):
@@ -1163,6 +1191,18 @@ class TestMaskContract:
             assert twin.masks[key].dtype == np.bool_
             assert twin.masks[key] is not mask
             assert np.array_equal(twin.masks[key], mask)
+
+    @pytest.mark.parametrize("kind", SLOT_KINDS)
+    def test_compressed_student_shares_nothing(self, kind):
+        """The student adopts the arrays compression makes, but a slot
+        kept whole comes back from keep_largest as the source's own
+        array (or a view of it), so compress_model copies those."""
+        cfg = small_config()
+        source = slot_kind_model(cfg, kind, seed=46)
+        for p_embd, p_svd in ((0.55, 0.45), (1.0, 0.45), (0.55, 1.0)):
+            plan = solve_budget(cfg.shapes(), 0.4, p_embd=p_embd, p_svd=p_svd)
+            student = one_shot_compress(source, plan)
+            assert not shares_any(student, source), (p_embd, p_svd)
 
     def test_compressed_student_holds_about_half_the_bytes(self):
         """A toy P=0.4 student's params plus masks take at most 0.55 of

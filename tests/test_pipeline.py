@@ -25,6 +25,7 @@ from slimformer.pipeline import (
 )
 from slimformer.prune import topk_mask
 from slimformer.tasks import TaskConfig, generate_task
+from test_model import shares_any
 
 TOY_TOTAL = 19747
 
@@ -246,8 +247,9 @@ class TestRunPipeline:
         assert result.records == ()
         assert result.states == ()
         for key in teacher.params:
-            assert np.array_equal(result.student.params[key],
-                                  teacher.params[key])
+            assert (result.student.params[key].tobytes()
+                    == teacher.params[key].tobytes())
+        assert not shares_any(result.student, teacher)
 
     def test_retained_fraction_non_increasing(self):
         teacher = init_model(TOY_CONFIG, seed=9)
@@ -264,13 +266,22 @@ class TestRunPipeline:
             0.4, rel=0.01)
         assert result.student.retained_count() == 7899
 
-    def test_teacher_never_mutated(self):
+    @pytest.mark.parametrize("p_embd, p_svd", [(0.55, 0.45), (1.0, 0.45),
+                                               (0.55, 1.0)])
+    def test_teacher_never_mutated(self, p_embd, p_svd):
+        """The student adopts the arrays compression makes; a slot kept
+        whole (vectors, the classifier, and the embeddings or encoder
+        matrices at a fraction of 1) must still be its own copy, or
+        fine-tuning would write into the teacher."""
         teacher = init_model(TOY_CONFIG, seed=11)
         before = {k: v.copy() for k, v in teacher.params.items()}
-        run_pipeline(teacher, toy_plan(delta=0.7), small_task(),
-                     epochs_per_iteration=1, seed=4)
+        plan = replace(solve_budget(TOY_CONFIG.shapes(), 0.4, p_embd=p_embd,
+                                    p_svd=p_svd), delta=0.7)
+        result = run_pipeline(teacher, plan, small_task(),
+                              epochs_per_iteration=1, seed=4)
         for key in before:
             assert np.array_equal(teacher.params[key], before[key])
+        assert not shares_any(result.student, teacher)
 
     def test_determinism(self):
         teacher = init_model(TOY_CONFIG, seed=12)
