@@ -19,7 +19,8 @@ from .factorize import (LowRankPair, factor_ratio, factorize_layer,
 from .model import (TOY_CONFIG, Adam, EncoderModel, ModelConfig, init_model,
                     load_model, save_model, truncated_config_for_budget)
 from .pipeline import (budget_sequence, compress_model, interpolated_plan,
-                       one_shot_compress, record_curve, run_pipeline)
+                       one_shot_compress, record_curve, run_baseline,
+                       run_pipeline)
 from .prune import keep_largest, ones_for_fraction, topk_mask
 from .svd import SvdResult, svd
 from .tasks import (SyntheticTask, TaskConfig, evaluate, generate_task,

@@ -13,22 +13,28 @@ original teacher weights.  From the second iteration on, the slots to
 factorize are already fine-tuned factor pairs (A, B); each is
 re-factorized through its r x r core (svd.svd_product) and never
 multiplied out, while a dense slot is decomposed as it is.
+
+run_baseline distils the pure-prediction baseline, a small dense
+student, through the same fine-tuning loop and batch order.
 """
 
 import csv
 import io
 import math
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
 from .budget import CompressionPlan, allocate
 from .distill import DistillConfig, distill_step
-from .errors import DivergenceError, NonFiniteError, RangeError
+from .errors import DivergenceError, RangeError
 from .factorize import factorize_layer
-from .model import Adam, EncoderModel, array_name
+from .model import (Adam, EncoderModel, array_name, init_model,
+                    truncated_config_for_budget)
 from .prune import keep_largest
-from .tasks import check_schedule, evaluate
+from .tasks import (batch_schedule, check_schedule, divergence_state,
+                    evaluate, nonfinite_diverges)
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,6 @@ class ScheduleState:
     budget_fraction: float
     retained_fraction: float
     group_fractions: dict
-    notes: tuple
 
 
 @dataclass(frozen=True)
@@ -145,69 +150,92 @@ def run_pipeline(teacher, plan, task, epochs_per_iteration=2, lr=2e-5,
                  batch_size=32, seed=0):
     """Iteratively compress and fine-tune a student of the teacher.
 
-    Fine-tuning distils with the default DistillConfig (every term
-    weighted 1).  The teacher is only read.  A plan with p_overall = 1
-    returns a bit-identical copy of the teacher, sharing no memory with
-    it, and no records.  Raises
-    DivergenceError (with a state dump) when the fine-tuning loss goes
-    non-finite or grows tenfold over its minimum within an iteration.
-    RangeError for negative epochs, a batch size below 1 or a negative
-    seed.
+    Each iteration fine-tunes for epochs_per_iteration epochs with the
+    default DistillConfig (every term weighted 1) under a new Adam(lr);
+    all iterations draw their batches, in turn, from one
+    batch_schedule(default_rng(seed), ...).  The teacher is only read.
+    A plan with p_overall = 1 returns a bit-identical copy of the
+    teacher, sharing no memory with it, and no records.  Raises
+    DivergenceError when the fine-tuning loss goes non-finite or grows
+    tenfold over its minimum within an iteration; its state is
+    divergence_state (epoch, counted over the whole run, step and
+    recent_records).  RangeError for negative epochs, a batch size
+    below 1 or a negative seed.
     """
     check_schedule(epochs_per_iteration, batch_size, seed)
     if plan.p_overall == 1.0:
         return PipelineResult(teacher.copy(), (), ())
-    cfg = DistillConfig()
-    # the first compress only reads the teacher and builds a new student
-    student = teacher
     shapes = teacher.config.shapes()
     total = shapes.group_total()
-    rng = np.random.default_rng(seed)
+    budgets = budget_sequence(plan.delta, plan.p_overall)
+    n = len(task.tokens_train)
+    schedule = batch_schedule(np.random.default_rng(seed), n, batch_size,
+                              epochs_per_iteration * len(budgets))
+    steps = epochs_per_iteration * -(-n // batch_size)
     records = []
     states = []
-    step = 0
+    # the first compress only reads the teacher and builds a new student
+    student = teacher
 
-    for iteration, budget in enumerate(budget_sequence(plan.delta,
-                                                       plan.p_overall), 1):
-        student, alloc = compress_model(student, interpolated_plan(plan, budget))
-        opt = Adam(lr=lr)
+    for iteration, budget in enumerate(budgets, 1):
+        student, _ = compress_model(student, interpolated_plan(plan, budget))
         # fine-tuning keeps every mask, so these counts hold all iteration
         live = student.retained_by_group()
-        retained = sum(live.values()) / total
-        iter_min = math.inf
-        for _ in range(epochs_per_iteration):
-            order = rng.permutation(len(task.tokens_train))
-            for start in range(0, len(order), batch_size):
-                idx = order[start:start + batch_size]
-                try:
-                    loss, terms = distill_step(student, teacher,
-                                               task.tokens_train[idx], cfg,
-                                               opt)
-                    check_divergence(loss, iter_min,
-                                     _state_dump(iteration, budget, step,
-                                                 records))
-                    iter_min = min(iter_min, loss)
-                    accuracy = evaluate(student, task.tokens_val,
-                                        task.labels_val)
-                except NonFiniteError as exc:
-                    raise DivergenceError(
-                        f"forward produced non-finite values at step {step}",
-                        state=_state_dump(iteration, budget, step, records),
-                    ) from exc
-                records.append(TrainingRecord(
-                    step, retained, loss, terms["embedding"],
-                    terms["attention"], terms["hidden"], terms["prediction"],
-                    accuracy))
-                step += 1
+        _fine_tune(student, teacher, task, DistillConfig(),
+                   islice(schedule, steps), lr, records)
         states.append(ScheduleState(
             iteration=iteration,
             budget_fraction=budget,
-            retained_fraction=retained,
+            retained_fraction=sum(live.values()) / total,
             group_fractions={g: live[g] / shapes.group_total(g)
                              for g in live},
-            notes=alloc.notes,
         ))
     return PipelineResult(student, tuple(records), tuple(states))
+
+
+def run_baseline(teacher, target_count, task, epochs, lr=2e-5,
+                 batch_size=32, seed=0):
+    """The pure-prediction baseline (TinyBERT-style) the pipeline is
+    measured against: init_model(truncated_config_for_budget(
+    teacher.config, target_count), seed), distilled on the teacher's
+    predictions alone for `epochs` epochs by one run_pipeline
+    iteration's loop, on batches of batch_schedule(default_rng(seed +
+    100), ...).  Returns a PipelineResult without states; records give
+    the student's size over the teacher's.  DivergenceError (state
+    epoch, step, recent_records) and RangeError as run_pipeline.
+    """
+    check_schedule(epochs, batch_size, seed)
+    student = init_model(truncated_config_for_budget(teacher.config,
+                                                     target_count), seed=seed)
+    cfg = DistillConfig(embedding_weight=0.0, attention_weight=0.0,
+                        hidden_weight=0.0, prediction_weight=1.0)
+    schedule = batch_schedule(np.random.default_rng(seed + 100),
+                              len(task.tokens_train), batch_size, epochs)
+    records = []
+    _fine_tune(student, teacher, task, cfg, schedule, lr, records)
+    return PipelineResult(student, tuple(records), ())
+
+
+def _fine_tune(student, teacher, task, cfg, schedule, lr, records):
+    """One distill_step per (epoch, indices) of the schedule under one
+    Adam(lr), each appending a TrainingRecord numbered by the records
+    before it.  The tenfold rule counts from this call's lowest loss."""
+    # fine-tuning keeps every mask, so the count holds for the whole call
+    retained = student.retained_count() / teacher.config.shapes().group_total()
+    opt = Adam(lr=lr)
+    lowest = math.inf
+    for epoch, idx in schedule:
+        step = len(records)
+        with nonfinite_diverges(epoch, step, records):
+            loss, terms = distill_step(student, teacher,
+                                       task.tokens_train[idx], cfg, opt)
+            check_divergence(loss, lowest,
+                             divergence_state(epoch, step, records))
+            lowest = min(lowest, loss)
+            accuracy = evaluate(student, task.tokens_val, task.labels_val)
+        records.append(TrainingRecord(
+            step, retained, loss, terms["embedding"], terms["attention"],
+            terms["hidden"], terms["prediction"], accuracy))
 
 
 def check_divergence(total, iteration_minimum, state):
@@ -220,15 +248,6 @@ def check_divergence(total, iteration_minimum, state):
             f"{iteration_minimum:.6g}",
             state=state,
         )
-
-
-def _state_dump(iteration, budget, step, records):
-    return {
-        "iteration": iteration,
-        "budget_fraction": budget,
-        "step": step,
-        "recent_records": tuple(records[-10:]),
-    }
 
 
 CURVE_COLUMNS = tuple(f.name for f in fields(TrainingRecord))

@@ -9,6 +9,7 @@ by a small encoder.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,53 +145,74 @@ def check_schedule(epochs, batch_size, seed):
         raise RangeError(f"batch size must be >= 1, got {batch_size}")
 
 
+def batch_schedule(rng, n, batch_size, epochs):
+    """Each step's (epoch, indices) over n examples: per epoch one
+    rng.permutation(n), drawn at its first step, cut in order into
+    batches of batch_size.  Every training loop draws its batches here.
+    """
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield epoch, order[start:start + batch_size]
+
+
+def divergence_state(epoch, step, records):
+    """A DivergenceError's state: the epoch, the number of steps taken
+    before the failure and the last ten records."""
+    return {"epoch": epoch, "step": step,
+            "recent_records": tuple(records[-10:])}
+
+
+@contextmanager
+def nonfinite_diverges(epoch, step, records):
+    """A NonFiniteError in the block leaves it as DivergenceError."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise DivergenceError(
+            f"forward produced non-finite values in epoch {epoch} at step "
+            f"{step}", state=divergence_state(epoch, step, records)) from exc
+
+
 def train_classifier(model, task, epochs, lr=2e-5, batch_size=32, seed=0):
     """Supervised fine-tuning on the task's hard labels, in place.
 
-    Raises DivergenceError (with a state dump) when a forward produces
-    non-finite values or an epoch's mean loss is non-finite or above
-    10 * ln(num_classes), ten times a uniform guess's cross entropy.
-    No rule relative to earlier epochs: healthy runs at lr 2e-3 climb
-    over 20x above their lowest earlier epoch mean.
+    Batches come from batch_schedule(default_rng(seed), ...).  Raises
+    DivergenceError when a forward produces non-finite values or an
+    epoch's mean loss is non-finite or above 10 * ln(num_classes), ten
+    times a uniform guess's cross entropy; its state is divergence_state
+    (epoch, step, recent_records) over the epoch records.  No rule
+    relative to earlier epochs: healthy runs at lr 2e-3 climb over 20x
+    above their lowest earlier epoch mean.
     """
     check_schedule(epochs, batch_size, seed)
-    rng = np.random.default_rng(seed)
     opt = Adam(lr=lr)
-    history = []
+    history, losses = [], []
     n = len(task.tokens_train)
+    per_epoch = -(-n // batch_size)
     ceiling = 10.0 * math.log(model.config.num_classes)
-    step = 0
-    for epoch in range(epochs):
-        order = rng.permutation(n)
+    schedule = batch_schedule(np.random.default_rng(seed), n, batch_size,
+                              epochs)
+    for step, (epoch, idx) in enumerate(schedule):
+        with nonfinite_diverges(epoch, step, history):
+            trace, cache = model.forward(task.tokens_train[idx],
+                                         with_cache=True)
+            loss, dlogits = cross_entropy(trace.logits,
+                                          task.labels_train[idx])
+            opt.step(model, model.backward(cache,
+                                           GradInjections(logits=dlogits)))
+        losses.append(loss)
+        if len(losses) < per_epoch:
+            continue
+        mean_loss = float(np.mean(losses))
         losses = []
-        try:
-            for start in range(0, n, batch_size):
-                idx = order[start:start + batch_size]
-                trace, cache = model.forward(task.tokens_train[idx],
-                                             with_cache=True)
-                loss, dlogits = cross_entropy(trace.logits,
-                                              task.labels_train[idx])
-                grads = model.backward(cache, GradInjections(logits=dlogits))
-                opt.step(model, grads)
-                losses.append(loss)
-                step += 1
-            mean_loss = float(np.mean(losses))
-            if not math.isfinite(mean_loss) or mean_loss > ceiling:
-                raise DivergenceError(
-                    f"epoch {epoch} mean loss {mean_loss:.6g} is non-finite "
-                    f"or above {ceiling:.6g}, ten times a uniform guess's "
-                    f"cross entropy",
-                    state=_epoch_state(epoch, step, history))
-            acc = evaluate(model, task.tokens_val, task.labels_val)
-        except NonFiniteError as exc:
+        if not math.isfinite(mean_loss) or mean_loss > ceiling:
             raise DivergenceError(
-                f"forward produced non-finite values in epoch {epoch} "
-                f"at step {step}",
-                state=_epoch_state(epoch, step, history)) from exc
+                f"epoch {epoch} mean loss {mean_loss:.6g} is non-finite "
+                f"or above {ceiling:.6g}, ten times a uniform guess's "
+                f"cross entropy",
+                state=divergence_state(epoch, step + 1, history))
+        with nonfinite_diverges(epoch, step + 1, history):
+            acc = evaluate(model, task.tokens_val, task.labels_val)
         history.append(EpochRecord(epoch, mean_loss, acc))
     return history
-
-
-def _epoch_state(epoch, step, history):
-    return {"epoch": epoch, "step": step,
-            "recent_records": tuple(history[-10:])}

@@ -16,11 +16,10 @@ from slimformer.analysis import bias_study, gaussian_testbed
 from slimformer.budget import (plan_check, plan_from_fractions, solve_budget,
                                transformer_shapes)
 from slimformer.distill import (DistillConfig, distill_injections,
-                                distill_step, prediction_loss)
+                                prediction_loss)
 from slimformer.factorize import factor_ratio, rank_for_ratio
-from slimformer.model import (TOY_CONFIG, Adam, GradInjections, init_model,
-                              truncated_config_for_budget)
-from slimformer.pipeline import one_shot_compress, run_pipeline
+from slimformer.model import TOY_CONFIG, GradInjections, init_model
+from slimformer.pipeline import one_shot_compress, run_baseline, run_pipeline
 from slimformer.svd import svd
 from slimformer.tasks import (TaskConfig, evaluate, generate_task,
                               train_classifier)
@@ -248,38 +247,17 @@ def _paired_run(seed):
     plan = replace(solve_budget(TOY_CONFIG.shapes(), 0.4,
                                 p_embd=0.55, p_svd=0.45), delta=0.8)
     result = run_pipeline(teacher, plan, task, seed=seed + 200)
-    pipeline_accs = [r.val_accuracy for r in result.records]
+    # as many steps as the pipeline: its iterations times two epochs
+    baseline = run_baseline(teacher, result.student.retained_count(), task,
+                            epochs=2 * len(result.states), seed=seed + 300)
+    assert len(baseline.records) == len(result.records)
 
-    target = result.student.retained_count()
-    student = init_model(truncated_config_for_budget(TOY_CONFIG, target),
-                         seed=seed + 300)
-    cfg = DistillConfig(embedding_weight=0.0, attention_weight=0.0,
-                        hidden_weight=0.0, prediction_weight=1.0)
-    opt = Adam(lr=2e-5)
-    rng = np.random.default_rng(seed + 400)
-    baseline_accs = []
-    budget = len(pipeline_accs)
-    count = len(task.tokens_train)
-    while len(baseline_accs) < budget:
-        order = rng.permutation(count)
-        for start in range(0, count, 32):
-            if len(baseline_accs) >= budget:
-                break
-            idx = order[start:start + 32]
-            distill_step(student, teacher, task.tokens_train[idx], cfg, opt)
-            baseline_accs.append(
-                evaluate(student, task.tokens_val, task.labels_val))
+    def first_step(records):
+        return next((i for i, r in enumerate(records)
+                     if r.val_accuracy >= 0.9 * teacher_acc), len(records))
 
-    threshold = 0.9 * teacher_acc
-
-    def first_step(accs):
-        for i, acc in enumerate(accs):
-            if acc >= threshold:
-                return i
-        return len(accs)
-
-    return (first_step(pipeline_accs), first_step(baseline_accs),
-            pipeline_accs[-1], baseline_accs[-1])
+    return (first_step(result.records), first_step(baseline.records),
+            result.records[-1].val_accuracy, baseline.records[-1].val_accuracy)
 
 
 def test_06_pipeline_beats_pure_prediction_distillation():

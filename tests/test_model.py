@@ -1221,28 +1221,37 @@ SOURCE = Path(__file__).resolve().parents[1] / "src" / "slimformer"
 KEY_SUFFIX = re.compile(r"(?<!\w)\.(a|b|mask|h)\b")
 
 
-def test_key_suffixes_are_written_in_one_function():
-    """Outside model.array_name, no string in the package spells out the
-    factored halves' ".a"/".b", the mask entries' ".mask" or a ".h"
-    cache key; docstrings do not count."""
+def source_sites(owner, matches):
+    """(inside, outside): "file:line" of each node of the package that
+    matches, docstrings skipped, split by whether it lies in the
+    function owner, given as "module.py:name"."""
+    module, name = owner.split(":")
     inside, outside = [], []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        docs, naming = set(), set()
+        docs, owned = set(), set()
         for node in ast.walk(tree):
             body = getattr(node, "body", None)
             if (isinstance(body, list) and body
                     and isinstance(body[0], ast.Expr)
                     and isinstance(body[0].value, ast.Constant)):
                 docs.add(id(body[0].value))
-            if (path.name == "model.py" and isinstance(node, ast.FunctionDef)
-                    and node.name == "array_name"):
-                naming.update(id(n) for n in ast.walk(node))
+            if (path.name == module and isinstance(node, ast.FunctionDef)
+                    and node.name == name):
+                owned.update(id(n) for n in ast.walk(node))
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                    and id(node) not in docs
-                    and KEY_SUFFIX.search(node.value)):
-                site = f"{path.name}:{node.lineno} {node.value!r}"
-                (inside if id(node) in naming else outside).append(site)
+            if id(node) not in docs and matches(node):
+                site = f"{path.name}:{node.lineno}"
+                (inside if id(node) in owned else outside).append(site)
+    return inside, outside
+
+
+def test_key_suffixes_are_written_in_one_function():
+    """Outside model.array_name, no string in the package spells out the
+    factored halves' ".a"/".b", the mask entries' ".mask" or a ".h"
+    cache key; docstrings do not count."""
+    inside, outside = source_sites("model.py:array_name", lambda node: (
+        isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and KEY_SUFFIX.search(node.value)))
     assert not outside
     assert inside  # the walk does see the naming function's own suffix

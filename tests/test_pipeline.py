@@ -21,6 +21,7 @@ from slimformer.pipeline import (
     interpolated_plan,
     one_shot_compress,
     record_curve,
+    run_baseline,
     run_pipeline,
 )
 from slimformer.prune import topk_mask
@@ -279,9 +280,12 @@ class TestRunPipeline:
                                     p_svd=p_svd), delta=0.7)
         result = run_pipeline(teacher, plan, small_task(),
                               epochs_per_iteration=1, seed=4)
+        baseline = run_baseline(teacher, result.student.retained_count(),
+                                small_task(), epochs=1, seed=4)
         for key in before:
             assert np.array_equal(teacher.params[key], before[key])
         assert not shares_any(result.student, teacher)
+        assert not shares_any(baseline.student, teacher)
 
     def test_determinism(self):
         teacher = init_model(TOY_CONFIG, seed=12)
@@ -312,11 +316,17 @@ class TestRunPipeline:
 
     def test_divergence_on_nonfinite_forward(self):
         teacher = init_model(TOY_CONFIG, seed=15)
+        plan, task = toy_plan(delta=0.7), small_task()
         # the absurd learning rate overflows the forward on purpose
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as excinfo:
-            run_pipeline(teacher, toy_plan(delta=0.7), small_task(),
-                         epochs_per_iteration=1, lr=1e90, seed=8)
-        assert excinfo.value.state is not None
+        for run in (lambda: run_pipeline(teacher, plan, task, 1, lr=1e90,
+                                         seed=8),
+                    lambda: run_baseline(teacher, 7899, task, 1, lr=1e90,
+                                         seed=8)):
+            with np.errstate(all="ignore"), \
+                    pytest.raises(DivergenceError) as excinfo:
+                run()
+            assert excinfo.value.state.keys() == {"epoch", "step",
+                                                  "recent_records"}
 
     def test_divergence_guard_rules(self):
         state = {"step": 3}

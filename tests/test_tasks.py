@@ -1,5 +1,6 @@
-"""Synthetic task generation and supervised training."""
+"""Synthetic task generation, the batch schedule and supervised training."""
 
+import ast
 import hashlib
 
 import numpy as np
@@ -8,14 +9,17 @@ import pytest
 from slimformer.errors import DivergenceError, InputError, NonFiniteError, \
     RangeError
 from slimformer.model import TOY_CONFIG, init_model
+from slimformer.pipeline import run_baseline
 from slimformer.tasks import (
     TaskConfig,
+    batch_schedule,
     bucket_label,
     cross_entropy,
     evaluate,
     generate_task,
     train_classifier,
 )
+from test_model import SOURCE, source_sites
 
 
 class TestGeneration:
@@ -112,14 +116,27 @@ class TestTraining:
                                     "recent_records": ()}
 
     def test_non_finite_forward_raises_divergence(self):
+        """Training the model, or distilling a baseline from it, fails
+        at the first forward with the same state."""
         task = generate_task(TaskConfig(seed=0, train_count=64, val_count=32))
         model = init_model(TOY_CONFIG, seed=0)
         model.params["cls.w"][0, 0] = np.nan
-        with pytest.raises(DivergenceError) as info:
-            train_classifier(model, task, epochs=1, lr=2e-3)
-        assert isinstance(info.value.__cause__, NonFiniteError)
-        assert info.value.state == {"epoch": 0, "step": 0,
-                                    "recent_records": ()}
+        for train in (lambda: train_classifier(model, task, epochs=1,
+                                               lr=2e-3),
+                      lambda: run_baseline(model, 7899, task, epochs=1)):
+            with pytest.raises(DivergenceError) as info:
+                train()
+            assert isinstance(info.value.__cause__, NonFiniteError)
+            assert info.value.state == {"epoch": 0, "step": 0,
+                                        "recent_records": ()}
+
+    def test_baseline_schedule_checked(self):
+        task = generate_task(TaskConfig(seed=0, train_count=64, val_count=32))
+        model = init_model(TOY_CONFIG, seed=0)
+        for epochs, batch_size, seed in ((-1, 32, 0), (1, 0, 0), (1, 32, -1)):
+            with pytest.raises(RangeError):
+                run_baseline(model, 7899, task, epochs, seed=seed,
+                             batch_size=batch_size)
 
     def test_training_determinism(self):
         task = generate_task(TaskConfig(seed=5, train_count=64, val_count=32))
@@ -153,3 +170,34 @@ class TestTraining:
             evaluate(model, tokens[:0], labels[:0])
         with pytest.raises(InputError):
             evaluate(model, tokens[0], labels[:1])
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("n, batch_size, epochs, seed, sha256", [
+        (512, 32, 2, 0,
+         "d2bf7e30e8efdb0bace852a589215af5d16585018fd9472ddd008e29ca766e3c"),
+        (64, 11, 3, 5,
+         "417a8d216f32c0d4a903905d2c886dce30df6eb954f21c0d6850fec766687344"),
+    ])
+    def test_draws_pinned(self, n, batch_size, epochs, seed, sha256):
+        """Each step's epoch, batch length and indices, as little-endian
+        int64, hash to the draws of the per-epoch permute-and-slice loop
+        every earlier trainer wrote out inline."""
+        digest = hashlib.sha256()
+        for epoch, idx in batch_schedule(np.random.default_rng(seed), n,
+                                         batch_size, epochs):
+            digest.update(np.array([epoch, len(idx), *idx],
+                                   dtype="<i8").tobytes())
+        assert digest.hexdigest() == sha256
+
+    def test_one_training_loop(self):
+        """batch_schedule is the package's only permutation, and the
+        acceptance checks import no distill_step or Adam to train with."""
+        inside, outside = source_sites("tasks.py:batch_schedule", lambda n: (
+            isinstance(n, ast.Attribute) and n.attr == "permutation"))
+        assert len(inside) == 1 and not outside
+        tree = ast.parse((SOURCE.parents[1] / "tests" / "test_acceptance.py")
+                         .read_text(encoding="utf-8"))
+        assert not {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names} & {"distill_step", "Adam"}
