@@ -61,13 +61,22 @@ def distill_injections(teacher_trace, student_trace, cfg):
     """Loss, breakdown, and the upstream gradients for backward.
 
     The teacher trace is a constant; gradients are with respect to the
-    student trace only.
+    student trace only.  MappingError when a positively weighted term
+    reads a field either trace lacks (a plain forward keeps only the
+    logits), or when the traces cover different layer or batch counts.
     """
-    if len(teacher_trace.attention) != len(student_trace.attention):
-        raise MappingError(
-            f"teacher has {len(teacher_trace.attention)} layers, "
-            f"student has {len(student_trace.attention)}; cannot align"
-        )
+    traces = (teacher_trace, student_trace)
+    for weight, field in (("embedding_weight", "embedding_out"),
+                          ("attention_weight", "attention"),
+                          ("hidden_weight", "hidden")):
+        if getattr(cfg, weight) > 0 and any(getattr(t, field) is None
+                                            for t in traces):
+            raise MappingError(f"{weight} is positive, but a trace has no "
+                               f"{field}: only a cached forward keeps it")
+    layers = {len(t.attention) for t in traces if t.attention is not None}
+    if len(layers) > 1:
+        raise MappingError(f"teacher and student have {sorted(layers)} "
+                           f"layers; cannot align")
     if teacher_trace.logits.shape[0] != student_trace.logits.shape[0]:
         raise MappingError("teacher and student traces cover different batches")
 
@@ -112,10 +121,12 @@ def distill_step(student, teacher, tokens, cfg, opt):
     distill_injections.
 
     Masked student entries keep gradient zero and stay exactly zero
-    after the update.  The teacher is only read.  The teacher's forward
-    runs first, then the student's cached forward, on the calling thread.
+    after the update.  The teacher is only read.  The teacher's cached
+    forward runs first and its cache is dropped at once, so the step's
+    peak is the student's cached forward and backward; both run on the
+    calling thread.
     """
-    teacher_trace = teacher.forward(tokens)
+    teacher_trace = teacher.forward(tokens, with_cache=True)[0]
     student_trace, cache = student.forward(tokens, with_cache=True)
     total, breakdown, inj = distill_injections(teacher_trace, student_trace, cfg)
     grads = student.backward(cache, inj)

@@ -24,22 +24,19 @@ bundle is the model's own arrays as (name, group, matrix) entries, with
 vectors and their masks as 1 x n views; the file stores masks as
 float64 ones and zeros, converted by save_bundle and the constructor.
 
-forward exposes a trace at the four supervision points (embedding
-output, per-layer attention maps, per-layer hidden states, logits).  It
-runs each layer as an attention block and an FFN block; a block's
-temporaries die when it returns, and bias adds, residual adds, softmax,
-layer norm and GELU work in place in as few buffers as the arithmetic
-allows, in the same operation order.  With with_cache=True it also
-returns each layer's activations that backward needs.  Otherwise, once
-b * n * ffn exceeds FORWARD_BLOCK, it cuts the batch into blocks of
-whole sequences, FORWARD_BLOCK / WORKERS entries each (pooled_rows),
-and runs them through run_on_workers into preallocated full-batch trace
-arrays, byte-identical to one full-batch pass.  It holds the trace plus
-at most WORKERS blocks, so its peak beyond the trace is the GELU of one
-FORWARD_BLOCK (input, output and one temporary, each rows x n x ffn).
-backward accepts upstream gradients injected at any subset of those
-points and returns exact gradients for every parameter, with masked
-positions receiving exactly zero.
+forward(tokens, with_cache=True) exposes a trace at the four
+supervision points (embedding output, per-layer attention maps,
+per-layer hidden states, logits) and each layer's activations that
+backward needs.  It runs each layer as an attention block and an FFN
+block; a block's temporaries die when it returns, and bias adds,
+residual adds, softmax, layer norm and GELU work in place in as few
+buffers as the arithmetic allows, in the same operation order.  The
+plain forward(tokens), the inference path, keeps only the logits: it
+runs chunks of pooled_rows sequences on every CPU, and beyond one
+FORWARD_BLOCK of activations it holds embed_dim floats per sequence.
+backward accepts upstream gradients injected at any subset of the
+supervision points and returns exact gradients for every parameter,
+with masked positions receiving exactly zero.
 
 gelu_erf (GELU's erf term, for both forwards and gelu_grad) runs erf on
 |x / sqrt 2| and copies x's sign back: no sign branch in SciPy's erf to
@@ -48,10 +45,10 @@ SciPy computes erf(-x) as -erf(x).  7.2 -> 3.8 ns per element on U(-1,1).
 
 run_on_workers runs independent jobs on WORKERS threads, the number of
 CPUs the process may run on: the caller and helpers from a pool made
-for the call and closed before it returns.  Its two users are the
-blocked forward (one job per block) and tasks.evaluate (one unblocked
-forward per chunk of pooled_rows sequences), where the threads halve
-the wall time on two CPUs.
+for the call and closed before it returns, or the caller alone when
+one thread suffices.  Its one user is the plain forward (one job per
+chunk), so evaluate and serving run on every CPU; the threads halve
+the wall time of a toy evaluate on two CPUs.
 
 Importing slimformer changes one thing in the process: under glibc it
 calls mallopt once to fix malloc's mmap threshold at 32 MiB and its trim
@@ -82,9 +79,8 @@ from .tensor import load_bundle, load_record, save_bundle, save_record
 
 LN_EPS = 1e-5
 INIT_STD = 0.05
-# a no-cache forward whose b * n * ffn exceeds this many float64 entries
-# (1 MiB of FFN activation) runs its layers over blocks of whole
-# sequences, all blocks alive at once at most this size
+# the chunks of a plain forward alive at once hold at most this many
+# float64 FFN entries (1 MiB): b * n * ffn summed over WORKERS chunks
 FORWARD_BLOCK = 2 ** 17
 # threads run_on_workers runs jobs on: the CPUs this process may use
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -131,13 +127,14 @@ def run_on_workers(job, items):
     """[job(item) for item in items], run side by side on WORKERS threads.
 
     The calling thread and min(WORKERS, len(items)) - 1 helper threads,
-    from a pool that lives for this call only, take items in order from
-    one shared iterator; numpy releases the interpreter lock inside its
-    kernels, so jobs over arrays overlap.  Results come back in item
-    order, and every job sees the caller's numpy error state.  Once a
-    job raises, no thread takes another item; when every thread has
-    stopped, the exception of the earliest item that raised is raised
-    here, the one a serial loop would have raised.
+    from a pool that lives for this call only (none without helpers),
+    take items in order from one shared iterator; numpy releases the
+    interpreter lock inside its kernels, so jobs over arrays overlap.
+    Results come back in item order, and every job sees the caller's
+    numpy error state.  Once a job raises, no thread takes another
+    item; when every thread has stopped, the exception of the earliest
+    item that raised is raised here, the one a serial loop would have
+    raised.
     """
     items = list(items)
     results = [None] * len(items)
@@ -158,15 +155,17 @@ def run_on_workers(job, items):
                     raised[i] = exc
 
     helpers = min(WORKERS, len(items)) - 1
-    # the pool starts threads only for submitted tasks: none for 0 helpers
-    with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
-        # each helper runs in a copy of the caller's context, so the
-        # caller's np.errstate holds in every thread
-        futures = [pool.submit(contextvars.copy_context().run, work)
-                   for _ in range(helpers)]
+    if helpers < 1:
         work()
-    for future in futures:
-        future.result()
+    else:
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            # each helper runs in a copy of the caller's context, so the
+            # caller's np.errstate holds in every thread
+            futures = [pool.submit(contextvars.copy_context().run, work)
+                       for _ in range(helpers)]
+            work()
+        for future in futures:
+            future.result()
     if raised:
         raise raised[min(raised)]
     return results
@@ -250,7 +249,8 @@ def load_config(path):
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Activations at the four supervision points, batch-first."""
+    """Activations at the four supervision points, batch-first.  A plain
+    forward (no cache) fills only logits; the other fields are None."""
 
     embedding_out: np.ndarray          # (b, n, d)
     attention: tuple                   # per layer: (b, heads, n, n)
@@ -628,9 +628,10 @@ class EncoderModel:
         lc.update(f_pre=f_pre, f_act=f_act, ln2=ln2_cache)
         return x
 
-    def _encode(self, tokens, cache, with_cache):
+    def _encode(self, tokens, cache=None):
         """Embedding output, attention maps and hidden states of the
-        encoder layers over checked tokens."""
+        encoder layers over checked tokens; with a cache, each layer's
+        activations backward needs are appended to cache["layers"]."""
         x = self._embed(tokens)
         embedding_out = x
         attention = []
@@ -638,73 +639,59 @@ class EncoderModel:
         for i in range(self.config.num_layers):
             lc = {}
             x1, probs = self._attention_block(f"enc{i}", x, lc)
-            if with_cache:
-                cache["layers"].append(lc)
-            else:
+            if cache is None:
                 # the attention block's activations die before the FFN runs
                 lc = {}
-            x = self._ffn_block(f"enc{i}", x1, lc, with_cache)
+            else:
+                cache["layers"].append(lc)
+            x = self._ffn_block(f"enc{i}", x1, lc, cache is not None)
             attention.append(probs)
             hidden.append(x)
         return embedding_out, attention, hidden
 
-    def _encode_blocks(self, tokens, step):
-        """_encode without a cache over blocks of `step` whole sequences,
-        each block's trace written into preallocated full-batch arrays.
-
-        Every operation of a layer works per sequence (the stacked
-        matmuls run one product per sequence slice; softmax, layer norm
-        and GELU run row by row), so the bytes match one full-batch
-        _encode.  The blocks run through run_on_workers; each writes
-        disjoint rows, and a block's trace dies when its job returns.
-        """
-        cfg = self.config
-        b, n = tokens.shape
-        embedding_out = np.empty((b, n, cfg.embed_dim))
-        attention = [np.empty((b, cfg.num_heads, n, n))
-                     for _ in range(cfg.num_layers)]
-        hidden = [np.empty((b, n, cfg.embed_dim))
-                  for _ in range(cfg.num_layers)]
-        full = [embedding_out, *attention, *hidden]
-
-        def run_block(start):
-            rows = slice(start, start + step)
-            emb, att, hid = self._encode(tokens[rows], {}, with_cache=False)
-            for dst, src in zip(full, [emb, *att, *hid]):
-                dst[rows] = src
-
-        run_on_workers(run_block, range(0, b, step))
-        return embedding_out, attention, hidden
-
     def pooled_rows(self, n):
-        """Sequences of length n per block of a pooled no-cache forward:
-        WORKERS blocks alive at once stay within one FORWARD_BLOCK, and
-        a forward over one block never runs blocked itself."""
+        """Sequences of length n per chunk of a plain forward: WORKERS
+        chunks alive at once stay within one FORWARD_BLOCK."""
         return max(1, FORWARD_BLOCK // (n * self.config.ffn_dim * WORKERS))
 
     def forward(self, tokens, with_cache=False):
-        tokens = self._check_tokens(tokens)
-        cache = {"tokens": tokens, "layers": []}
-        b, n = tokens.shape
-        if with_cache or b <= max(1, FORWARD_BLOCK
-                                  // (n * self.config.ffn_dim)):
-            embedding_out, attention, hidden = self._encode(tokens, cache,
-                                                            with_cache)
-        else:
-            embedding_out, attention, hidden = self._encode_blocks(
-                tokens, self.pooled_rows(n))
+        """The trace of the tokens; with with_cache=True, (trace, cache).
 
-        pooled = hidden[-1].mean(axis=1)
+        Only the cached forward fills the supervision points.  The plain
+        forward keeps only the logits: chunks of pooled_rows sequences
+        run through run_on_workers, each writing its rows of the pooled
+        last hidden state before its activations die, and the
+        classifier runs once over the whole batch, as in the cached
+        forward, since BLAS may round a row of a product differently
+        beside other rows.  Every layer works per sequence (one matmul
+        per sequence slice; softmax, layer norm and GELU row by row), so
+        the logits have the cached forward's bytes.  At width 256, batch
+        256, length 16 the tracemalloc peak is 4.6 MB; the full-batch
+        trace it used to keep took 33.4 MB.  NonFiniteError when a
+        logit is not finite.
+        """
+        tokens = self._check_tokens(tokens)
+        if with_cache:
+            cache = {"tokens": tokens, "layers": []}
+            embedding_out, attention, hidden = self._encode(tokens, cache)
+            pooled = cache["pooled"] = hidden[-1].mean(axis=1)
+        else:
+            rows = self.pooled_rows(tokens.shape[1])
+            pooled = np.empty((len(tokens), self.config.embed_dim))
+
+            def pool_chunk(start):
+                hidden = self._encode(tokens[start:start + rows])[2]
+                hidden[-1].mean(axis=1, out=pooled[start:start + rows])
+
+            run_on_workers(pool_chunk, range(0, len(tokens), rows))
         logits = pooled @ self.params["cls.w"]
         logits += self.params["cls.b"]
         if not np.all(np.isfinite(logits)):
             raise NonFiniteError("logits are not finite")
-        cache["pooled"] = pooled
-        trace = ForwardTrace(embedding_out, tuple(attention),
-                             tuple(hidden), logits)
         if with_cache:
-            return trace, cache
-        return trace
+            return ForwardTrace(embedding_out, tuple(attention),
+                                tuple(hidden), logits), cache
+        return ForwardTrace(None, None, None, logits)
 
     # ---- backward -----------------------------------------------------
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InputError, NonFiniteError, RangeError
-from .model import Adam, GradInjections, run_on_workers, softmax
+from .model import Adam, GradInjections, softmax
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,10 @@ def cross_entropy(logits, labels):
 def evaluate(model, tokens, labels):
     """Fraction of sequences whose argmax logit matches the label.
 
-    The split runs in chunks of model.pooled_rows sequences, each one
-    unblocked forward, side by side through run_on_workers: the chunks
-    alive at once hold at most one FORWARD_BLOCK of activations, and
-    the hit counts are summed.  InputError unless tokens is a non-empty
-    2-D batch and labels holds one label per sequence in one row.
+    One plain forward over the split: its logits only, computed in
+    chunks of model.pooled_rows sequences on every CPU.  InputError
+    unless tokens is a non-empty 2-D batch and labels holds one label
+    per sequence in one row.
     """
     tokens, labels = np.asarray(tokens), np.asarray(labels)
     if tokens.ndim != 2 or tokens.size == 0:
@@ -118,14 +117,8 @@ def evaluate(model, tokens, labels):
     if labels.shape != (len(tokens),):
         raise InputError(f"{len(tokens)} sequences need labels of shape "
                          f"({len(tokens)},), got {labels.shape}")
-    rows = model.pooled_rows(tokens.shape[1])
-
-    def hits(start):
-        trace = model.forward(tokens[start:start + rows])
-        return int((np.argmax(trace.logits, axis=1)
-                    == labels[start:start + rows]).sum())
-
-    return sum(run_on_workers(hits, range(0, len(tokens), rows))) / len(tokens)
+    hits = np.argmax(model.forward(tokens).logits, axis=1) == labels
+    return int(hits.sum()) / len(tokens)
 
 
 @dataclass(frozen=True)

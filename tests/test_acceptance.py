@@ -18,11 +18,13 @@ from slimformer.budget import (plan_check, plan_from_fractions, solve_budget,
 from slimformer.distill import (DistillConfig, distill_injections,
                                 prediction_loss)
 from slimformer.factorize import factor_ratio, rank_for_ratio
-from slimformer.model import TOY_CONFIG, GradInjections, init_model
+from slimformer.model import TOY_CONFIG, init_model
 from slimformer.pipeline import one_shot_compress, run_baseline, run_pipeline
 from slimformer.svd import svd
 from slimformer.tasks import (TaskConfig, evaluate, generate_task,
                               train_classifier)
+
+from fd_harness import FD_TOL, fd_relative, trace_functional, traced
 
 REFERENCE = transformer_shapes(30522, 768, 12, 3072, 512, 3,
                                token_type_count=2, embed_layernorm=True,
@@ -111,48 +113,6 @@ def test_03_reference_row_consistency():
     _line(3, "reference row consistency", ok, "; ".join(details))
 
 
-FD_STEP = 1e-5
-FD_TOL = 1e-4
-FD_FLOOR = 1e-6
-
-
-def _trace_functional(model, tokens, seed):
-    """Random linear functional of every forward output, O(1)-scaled."""
-    rng = np.random.default_rng(seed)
-    trace = model.forward(tokens)
-
-    def coeff(shape):
-        return rng.normal(size=shape) / np.prod(shape)
-
-    c_emb = coeff(trace.embedding_out.shape)
-    c_att = [coeff(a.shape) for a in trace.attention]
-    c_hid = [coeff(h.shape) for h in trace.hidden]
-    c_log = coeff(trace.logits.shape)
-
-    def loss(t):
-        total = float(np.sum(c_emb * t.embedding_out))
-        total += sum(float(np.sum(c * a))
-                     for c, a in zip(c_att, t.attention))
-        total += sum(float(np.sum(c * h)) for c, h in zip(c_hid, t.hidden))
-        return total + float(np.sum(c_log * t.logits))
-
-    inj = GradInjections(embedding=c_emb, attention=list(c_att),
-                         hidden=list(c_hid), logits=c_log)
-    return loss, inj
-
-
-def _fd_relative(model, tokens, key, index, loss, analytic):
-    flat = model.params[key].ravel()
-    kept = flat[index]
-    flat[index] = kept + FD_STEP
-    up = loss(model.forward(tokens))
-    flat[index] = kept - FD_STEP
-    down = loss(model.forward(tokens))
-    flat[index] = kept
-    fd = (up - down) / (2.0 * FD_STEP)
-    return abs(fd - analytic) / max(abs(fd), abs(analytic), FD_FLOOR)
-
-
 def test_04_gradient_fidelity():
     started = time.perf_counter()
     model = init_model(TOY_CONFIG, seed=4)
@@ -168,7 +128,7 @@ def test_04_gradient_fidelity():
         "ffn biases": lambda k: ".ffn.b" in k,
         "classifier": lambda k: k.startswith("cls."),
     }
-    loss, inj = _trace_functional(model, tokens, seed=42)
+    loss, inj = trace_functional(model, tokens, seed=42)
     _, cache = model.forward(tokens, with_cache=True)
     grads = model.backward(cache, inj)
 
@@ -178,16 +138,18 @@ def test_04_gradient_fidelity():
         assert keys, f"no parameters matched class {name}"
         for _ in range(20):
             key = keys[int(rng.integers(len(keys)))]
-            index = int(rng.integers(model.params[key].size))
-            rel = _fd_relative(model, tokens, key, index, loss,
-                               grads[key].ravel()[index])
+            shape = model.params[key].shape
+            index = np.unravel_index(int(rng.integers(math.prod(shape))),
+                                     shape)
+            rel = fd_relative(model, tokens, key, index, loss,
+                              grads[key][index])
             worst = max(worst, rel)
 
     # the same probes through the distillation objective
     teacher = init_model(TOY_CONFIG, seed=5)
     student = init_model(TOY_CONFIG, seed=6)
     cfg = DistillConfig()
-    teacher_trace = teacher.forward(tokens)
+    teacher_trace = traced(teacher, tokens)
 
     def distill_loss(trace):
         return distill_injections(teacher_trace, trace, cfg)[0]
@@ -199,9 +161,10 @@ def test_04_gradient_fidelity():
     worst_distill = 0.0
     for _ in range(24):
         key = keys[int(rng.integers(len(keys)))]
-        index = int(rng.integers(student.params[key].size))
-        rel = _fd_relative(student, tokens, key, index, distill_loss,
-                           d_grads[key].ravel()[index])
+        shape = student.params[key].shape
+        index = np.unravel_index(int(rng.integers(math.prod(shape))), shape)
+        rel = fd_relative(student, tokens, key, index, distill_loss,
+                          d_grads[key][index])
         worst_distill = max(worst_distill, rel)
 
     elapsed = time.perf_counter() - started
@@ -217,7 +180,7 @@ def test_05_distillation_loss_values():
 
     model = init_model(TOY_CONFIG, seed=7)
     tokens = np.random.default_rng(8).integers(0, 64, size=(3, 10))
-    trace = model.forward(tokens)
+    trace = traced(model, tokens)
     breakdown = distill_injections(trace, trace, DistillConfig())[1]
     mse_terms = (breakdown["embedding"], breakdown["attention"],
                  breakdown["hidden"])

@@ -149,6 +149,31 @@ class TestTotalLoss:
         with pytest.raises(MappingError):
             distill_injections(teacher, student, DistillConfig())
 
+    @pytest.mark.parametrize("weight, field", [
+        ("embedding_weight", "embedding_out"),
+        ("attention_weight", "attention"),
+        ("hidden_weight", "hidden"),
+    ])
+    def test_term_reading_a_missing_field_raises(self, weight, field):
+        """A plain forward keeps only the logits: a positively weighted
+        term that reads another field raises MappingError, on either
+        side; prediction alone reads the logits only."""
+        model = init_model(CFG, seed=8)
+        tokens = rand_tokens(np.random.default_rng(8))
+        plain = model.forward(tokens)
+        full = model.forward(tokens, with_cache=True)[0]
+        weights = dict.fromkeys(("embedding_weight", "attention_weight",
+                                 "hidden_weight", "prediction_weight"), 0.0)
+        weights[weight] = 1.0
+        cfg = DistillConfig(**weights)
+        for teacher, student in ((plain, full), (full, plain)):
+            with pytest.raises(MappingError, match=field):
+                distill_injections(teacher, student, cfg)
+        predict = DistillConfig(embedding_weight=0.0, attention_weight=0.0,
+                                hidden_weight=0.0, prediction_weight=1.0)
+        assert (distill_injections(plain, full, predict)[:2]
+                == distill_injections(full, full, predict)[:2])
+
     def test_batch_permutation_invariance(self):
         rng = np.random.default_rng(7)
         teacher = make_trace(rng, batch=4)
@@ -181,11 +206,12 @@ class TestDistillGradients:
         student = init_model(CFG, seed=seed + 1)
         rng = np.random.default_rng(seed + 2)
         tokens = rand_tokens(rng)
-        teacher_trace = teacher.forward(tokens)
+        teacher_trace = teacher.forward(tokens, with_cache=True)[0]
 
         def loss_of():
-            return distill_injections(teacher_trace,
-                                      student.forward(tokens), cfg)[0]
+            return distill_injections(
+                teacher_trace, student.forward(tokens, with_cache=True)[0],
+                cfg)[0]
 
         strace, cache = student.forward(tokens, with_cache=True)
         _, _, inj = distill_injections(teacher_trace, strace, cfg)
@@ -238,8 +264,8 @@ class TestDistillStep:
         _, terms = distill_step(student, teacher, tokens, DistillConfig(),
                                 Adam(lr=1e-3))
         assert terms["embedding"] == 0.0
-        trace_t = teacher.forward(tokens)
-        trace_s = student.forward(tokens)
+        trace_t = teacher.forward(tokens, with_cache=True)[0]
+        trace_s = student.forward(tokens, with_cache=True)[0]
         breakdown = distill_injections(trace_t, trace_s, DistillConfig())[1]
         assert breakdown["embedding"] <= 1e-10
         assert breakdown["attention"] <= 1e-10

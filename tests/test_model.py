@@ -1,10 +1,7 @@
 """Forward/backward checks for the toy encoder.
 
-The gradient oracle is central finite differences with step 1e-5.
-Relative error uses max(|fd|, |an|, 1e-6) as denominator: the floor
-keeps structurally zero gradients well defined (the key-projection
-bias never affects the loss because softmax rows are shift
-invariant) without masking anything above 1e-10 absolute.
+The gradient oracle is fd_harness: central finite differences of a
+random linear functional of the cached forward's trace.
 """
 
 import ast
@@ -56,10 +53,7 @@ from slimformer.pipeline import compress_model, one_shot_compress
 from slimformer.prune import keep_largest
 from slimformer.tasks import TaskConfig, evaluate, generate_task
 
-FD_STEP = 1e-5
-FD_TOL = 1e-4
-FD_FLOOR = 1e-6
-
+from fd_harness import FD_TOL, fd_relative, trace_functional, traced
 
 def small_config():
     return ModelConfig(vocab_size=11, embed_dim=8, num_layers=2, num_heads=2,
@@ -148,39 +142,9 @@ def erf_edges():
     return np.concatenate([edges, -edges])
 
 
-def trace_loss_coeffs(model, tokens, seed):
-    """Random linear functional over every trace field.
-
-    Returns (loss_fn, injections): loss_fn(model) evaluates the scalar,
-    and the coefficient tensors double as the exact upstream gradients.
-    """
-    trace = model.forward(tokens)
-    rng = np.random.default_rng(seed)
-
-    def coeff(shape):
-        c = rng.normal(size=shape)
-        return c / c.size  # keeps the loss O(1) so FD noise stays tiny
-
-    c_emb = coeff(trace.embedding_out.shape)
-    c_att = tuple(coeff(a.shape) for a in trace.attention)
-    c_hid = tuple(coeff(h.shape) for h in trace.hidden)
-    c_log = coeff(trace.logits.shape)
-
-    def loss_fn(m):
-        t = m.forward(tokens)
-        total = float(np.sum(c_emb * t.embedding_out))
-        total += sum(float(np.sum(c * a)) for c, a in zip(c_att, t.attention))
-        total += sum(float(np.sum(c * h)) for c, h in zip(c_hid, t.hidden))
-        total += float(np.sum(c_log * t.logits))
-        return total
-
-    inj = GradInjections(embedding=c_emb, attention=c_att,
-                         hidden=c_hid, logits=c_log)
-    return loss_fn, inj
-
-
 def fd_check(model, tokens, keys, seed, samples=20):
-    loss_fn, inj = trace_loss_coeffs(model, tokens, seed)
+    """Worst fd_relative over random unmasked entries of each key."""
+    loss, inj = trace_functional(model, tokens, seed)
     _, cache = model.forward(tokens, with_cache=True)
     grads = model.backward(cache, inj)
     rng = np.random.default_rng(seed + 1)
@@ -193,16 +157,8 @@ def fd_check(model, tokens, keys, seed, samples=20):
             while mask is not None and mask[idx] == 0.0:
                 # masked entries are pinned at zero, not free coordinates
                 idx = tuple(rng.integers(0, s) for s in arr.shape)
-            orig = arr[idx]
-            arr[idx] = orig + FD_STEP
-            up = loss_fn(model)
-            arr[idx] = orig - FD_STEP
-            down = loss_fn(model)
-            arr[idx] = orig
-            fd = (up - down) / (2 * FD_STEP)
-            an = grads[key][idx]
-            rel = abs(fd - an) / max(abs(fd), abs(an), FD_FLOOR)
-            worst = max(worst, rel)
+            worst = max(worst, fd_relative(model, tokens, key, idx, loss,
+                                           grads[key][idx]))
     return worst
 
 
@@ -277,14 +233,14 @@ class TestForward:
             model.params[key] = np.zeros_like(model.params[key])
         model.params["cls.b"] = np.array([1.0, -2.0, 0.5])
         tokens = np.arange(16)[None, :]
-        trace = model.forward(tokens)
+        trace = traced(model, tokens)
         assert np.allclose(trace.logits, [1.0, -2.0, 0.5])
         for attn in trace.attention:
             assert np.allclose(attn, 1.0 / 16)
 
     def test_single_token_attention_is_one(self):
         model = init_model(TOY_CONFIG, seed=1)
-        trace = model.forward(np.array([[7]]))
+        trace = traced(model, np.array([[7]]))
         for attn in trace.attention:
             assert attn.shape == (1, TOY_CONFIG.num_heads, 1, 1)
             assert np.allclose(attn, 1.0)
@@ -293,7 +249,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         model = init_model(small_config(), seed=2)
         tokens = rand_tokens(rng, small_config(), batch=5)
-        trace = model.forward(tokens)
+        trace = traced(model, tokens)
         for attn in trace.attention:
             assert np.all(attn >= 0)
             assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
@@ -304,14 +260,14 @@ class TestForward:
         model = init_model(cfg, seed=3)
         tokens = rand_tokens(rng, cfg, batch=6)
         perm = rng.permutation(6)
-        a = model.forward(tokens)
-        b = model.forward(tokens[perm])
+        a = traced(model, tokens)
+        b = traced(model, tokens[perm])
         assert np.array_equal(a.logits[perm], b.logits)
         assert np.array_equal(a.hidden[-1][perm], b.hidden[-1])
 
     def test_golden_trace(self):
         model = init_model(TOY_CONFIG, seed=0)
-        trace = model.forward(np.arange(16)[None, :])
+        trace = traced(model, np.arange(16)[None, :])
         assert np.allclose(
             trace.logits[0],
             [0.08486507383897868, -0.00744347758157546, 0.09416808273169132],
@@ -331,11 +287,16 @@ class TestForward:
     def test_trace_shapes(self):
         cfg = small_config()
         model = init_model(cfg, seed=0)
-        trace = model.forward(np.zeros((4, 5), dtype=np.int64))
+        tokens = np.zeros((4, 5), dtype=np.int64)
+        trace = traced(model, tokens)
         assert trace.embedding_out.shape == (4, 5, 8)
         assert all(a.shape == (4, 2, 5, 5) for a in trace.attention)
         assert all(h.shape == (4, 5, 8) for h in trace.hidden)
         assert trace.logits.shape == (4, 3)
+        # the plain forward keeps only the logits
+        plain = model.forward(tokens)
+        assert plain.embedding_out is plain.attention is plain.hidden is None
+        assert plain.logits.shape == (4, 3)
 
     def test_input_errors(self):
         model = init_model(small_config(), seed=0)
@@ -362,14 +323,14 @@ class TestForward:
         assert np.array_equal(one.logits, two.logits)
 
     def test_cache_off_lowers_peak_memory(self):
-        # without with_cache, a layer's activations die with the layer
-        # instead of being kept for backward; the trace is the same bytes
+        # without with_cache, a chunk's activations die with the chunk
+        # instead of being kept for backward; the logits are the same bytes
         tokens = rand_tokens(np.random.default_rng(6), TOY_CONFIG, batch=64)
         for kind in SLOT_KINDS:
             model = slot_kind_model(TOY_CONFIG, kind, seed=0)
             off, trace = forward_peak(model, tokens, with_cache=False)
             on, (cached, _) = forward_peak(model, tokens, with_cache=True)
-            assert trace_bytes(trace) == trace_bytes(cached), kind
+            assert trace.logits.tobytes() == cached.logits.tobytes(), kind
             assert off < on, kind
 
     def test_kernels_match_reference_formulas(self):
@@ -416,70 +377,66 @@ class TestForward:
 
     @pytest.mark.parametrize("block_rows", [3, 1])
     def test_blocked_forward_is_byte_identical(self, monkeypatch, block_rows):
-        """Forcing several blocks, the last one short, changes no byte of
-        the trace for any slot kind."""
-        n = TOY_CONFIG.max_seq_len
-        monkeypatch.setattr(sys.modules["slimformer.model"], "FORWARD_BLOCK",
-                            block_rows * n * TOY_CONFIG.ffn_dim)
+        """Forcing several chunks on one thread, the last one short,
+        changes no byte of the logits for any slot kind."""
+        module = sys.modules["slimformer.model"]
+        monkeypatch.setattr(module, "WORKERS", 1)
+        monkeypatch.setattr(module, "FORWARD_BLOCK", block_rows
+                            * TOY_CONFIG.max_seq_len * TOY_CONFIG.ffn_dim)
         tokens = rand_tokens(np.random.default_rng(9), TOY_CONFIG, batch=10)
         for kind in SLOT_KINDS:
             model = slot_kind_model(TOY_CONFIG, kind, seed=2)
+            assert model.pooled_rows(TOY_CONFIG.max_seq_len) == block_rows
             blocked = model.forward(tokens)
             whole, _ = model.forward(tokens, with_cache=True)
-            assert trace_bytes(blocked) == trace_bytes(whole), kind
+            assert blocked.logits.tobytes() == whole.logits.tobytes(), kind
 
     def test_peak_memory_bound(self, monkeypatch):
-        """A no-cache forward on one thread holds the trace plus one
-        block: at 8 and 16 blocks its tracemalloc peak is the trace's
-        bytes plus at most 5 of one block's ffn activations (b * n * ffn
-        float64s), and doubling the batch grows the peak by no more than
-        the trace."""
+        """A plain forward on one thread holds its pooled states and
+        logits plus one chunk: at batch 256 and 512 (width 256) its
+        tracemalloc peak is those bytes plus at most 5 of one
+        FORWARD_BLOCK's ffn activations (5 MiB), and doubling the batch
+        grows the peak by no more than those bytes.  A full-batch trace
+        took 33.4 MB at batch 256."""
         monkeypatch.setattr(sys.modules["slimformer.model"], "WORKERS", 1)
-        model, block_rows, block_activation = peak_model()
-        peaks, traces = [], []
-        for batch in (8 * block_rows, 16 * block_rows):
-            peak, held = forward_peak_beyond_trace(model, batch)
-            assert peak <= held + 5 * block_activation, batch
+        model, block_activation = peak_model()
+        peaks, held = [], []
+        for batch in (256, 512):
+            peak, kept = plain_forward_peak(model, batch)
+            assert peak <= kept + 5 * block_activation, batch
             peaks.append(peak)
-            traces.append(held)
+            held.append(kept)
         # 1/16 of a block's activation absorbs Python-object noise
-        assert (peaks[1] - peaks[0]
-                <= traces[1] - traces[0] + block_activation / 16)
+        assert peaks[1] - peaks[0] <= held[1] - held[0] + block_activation / 16
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pooled_peak_within_one_block(self, monkeypatch, workers):
-        """WORKERS threads, each on a block of 1/WORKERS the size, peak
-        no higher than one thread on whole blocks, however their blocks
+        """WORKERS threads, each on a chunk of 1/WORKERS the size, peak
+        no higher than one thread on whole blocks, however their chunks
         line up in time, and within test_peak_memory_bound's bound."""
         module = sys.modules["slimformer.model"]
-        model, block_rows, block_activation = peak_model()
-        for batch in (8 * block_rows, 16 * block_rows):
+        model, block_activation = peak_model()
+        for batch in (256, 512):
             monkeypatch.setattr(module, "WORKERS", 1)
-            one, _ = forward_peak_beyond_trace(model, batch)
+            one, _ = plain_forward_peak(model, batch)
             monkeypatch.setattr(module, "WORKERS", workers)
-            pooled, held = forward_peak_beyond_trace(model, batch)
-            assert pooled <= held + 5 * block_activation, batch
+            pooled, kept = plain_forward_peak(model, batch)
+            assert pooled <= kept + 5 * block_activation, batch
             assert pooled <= one + block_activation / 16, batch
 
 
+@functools.cache
 def peak_model():
-    """(model, rows of one FORWARD_BLOCK, bytes of its ffn activation)
-    at a width where the batches below run blocked."""
-    cfg = ModelConfig(vocab_size=64, embed_dim=64, num_layers=2,
-                      num_heads=4, ffn_dim=256, max_seq_len=16,
-                      num_classes=3)
-    block_rows = FORWARD_BLOCK // (cfg.max_seq_len * cfg.ffn_dim)
-    block_activation = block_rows * cfg.max_seq_len * cfg.ffn_dim * 8
-    return init_model(cfg, seed=0), block_rows, block_activation
+    """(width-256 model, bytes of one FORWARD_BLOCK of ffn activation)."""
+    return init_model(WIDE_CONFIG, seed=0), FORWARD_BLOCK * 8
 
 
-def forward_peak_beyond_trace(model, batch):
-    """(tracemalloc peak, bytes of the trace) of one no-cache forward."""
+def plain_forward_peak(model, batch):
+    """(tracemalloc peak, bytes of the pooled states and logits) of one
+    plain forward."""
     tokens = rand_tokens(np.random.default_rng(7), model.config, batch=batch)
     peak, trace = forward_peak(model, tokens, with_cache=False)
-    held = sum(a.nbytes for a in (trace.embedding_out, *trace.attention,
-                                  *trace.hidden, trace.logits))
-    return peak, held
+    return peak, trace.logits.nbytes + 8 * batch * model.config.embed_dim
 
 
 class BlockFailure(Exception):
@@ -487,29 +444,29 @@ class BlockFailure(Exception):
 
 
 class TestPooledForward:
-    """The blocked forward on WORKERS threads: FORWARD_BLOCK is set so
-    that the trigger is `trigger_rows` sequences, and blocks are
-    trigger_rows // WORKERS sequences (at least 1)."""
+    """The plain forward on WORKERS threads: FORWARD_BLOCK is set to
+    `block_rows` sequences, so chunks are block_rows // WORKERS
+    sequences (at least 1)."""
 
     @staticmethod
-    def patch(monkeypatch, workers, trigger_rows):
+    def patch(monkeypatch, workers, block_rows):
         module = sys.modules["slimformer.model"]
         monkeypatch.setattr(module, "WORKERS", workers)
-        monkeypatch.setattr(module, "FORWARD_BLOCK", trigger_rows
+        monkeypatch.setattr(module, "FORWARD_BLOCK", block_rows
                             * TOY_CONFIG.max_seq_len * TOY_CONFIG.ffn_dim)
 
-    @pytest.mark.parametrize("workers, trigger_rows, batch", [
-        (1, 6, 11),   # blocks of 6 and 5
+    @pytest.mark.parametrize("workers, block_rows, batch", [
+        (1, 6, 11),   # chunks of 6 and 5
         (2, 6, 11),   # 3, 3, 3, 2
         (3, 6, 11),   # 2 x 5 and 1: more threads than cores
-        (3, 1, 2),    # blocks of 1: more workers than blocks
+        (3, 1, 2),    # chunks of 1: more workers than chunks
     ])
     def test_byte_identical_for_every_slot_kind(self, monkeypatch, workers,
-                                                trigger_rows, batch):
-        """Every block lands once in its rows: the trace bytes equal the
-        full-batch cached pass, also with threads switching as often as
-        the interpreter allows."""
-        self.patch(monkeypatch, workers, trigger_rows)
+                                                block_rows, batch):
+        """Every chunk lands once in its rows: the logits' bytes equal
+        the full-batch cached pass's, also with threads switching as
+        often as the interpreter allows."""
+        self.patch(monkeypatch, workers, block_rows)
         tokens = rand_tokens(np.random.default_rng(10), TOY_CONFIG,
                              batch=batch)
         interval = sys.getswitchinterval()
@@ -519,26 +476,27 @@ class TestPooledForward:
                 model = slot_kind_model(TOY_CONFIG, kind, seed=5)
                 pooled = model.forward(tokens)
                 whole, _ = model.forward(tokens, with_cache=True)
-                assert trace_bytes(pooled) == trace_bytes(whole), kind
+                assert (pooled.logits.tobytes()
+                        == whole.logits.tobytes()), kind
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("workers, trigger_rows, batch",
+    @pytest.mark.parametrize("workers, block_rows, batch",
                              [(2, 6, 11), (3, 6, 11), (3, 1, 2)])
     def test_threads_end_with_the_call(self, monkeypatch, workers,
-                                       trigger_rows, batch):
-        """At most min(WORKERS, blocks) threads run blocks, and none but
+                                       block_rows, batch):
+        """At most min(WORKERS, chunks) threads run chunks, and none but
         the caller's is alive once forward returns."""
-        self.patch(monkeypatch, workers, trigger_rows)
-        step = max(1, trigger_rows // workers)
+        self.patch(monkeypatch, workers, block_rows)
+        step = max(1, block_rows // workers)
         blocks = -(-batch // step)
         runners, alive = set(), []
         encode = EncoderModel._encode
 
-        def spy(model, tokens, cache, with_cache):
+        def spy(model, tokens, cache=None):
             runners.add(threading.get_ident())
             alive.append(threading.active_count())
-            return encode(model, tokens, cache, with_cache)
+            return encode(model, tokens, cache)
 
         monkeypatch.setattr(EncoderModel, "_encode", spy)
         model = init_model(TOY_CONFIG, seed=0)
@@ -553,24 +511,24 @@ class TestPooledForward:
 
     @pytest.mark.parametrize("in_helper", [True, False])
     def test_block_exception_leaves_forward(self, monkeypatch, in_helper):
-        """An exception raised in one block, in a helper thread or in the
+        """An exception raised in one chunk, in a helper thread or in the
         calling thread, leaves forward as that same exception once every
         thread has stopped."""
-        self.patch(monkeypatch, workers=2, trigger_rows=2)
+        self.patch(monkeypatch, workers=2, block_rows=2)
         caller = threading.get_ident()
-        # each thread's first block waits until the other has one too
+        # each thread's first chunk waits until the other has one too
         both = threading.Barrier(2, timeout=10)
         runners = set()
         encode = EncoderModel._encode
 
-        def failing(model, tokens, cache, with_cache):
+        def failing(model, tokens, cache=None):
             me = threading.get_ident()
             if me not in runners:
                 runners.add(me)
                 both.wait()
             if (me != caller) == in_helper:
                 raise BlockFailure("block")
-            return encode(model, tokens, cache, with_cache)
+            return encode(model, tokens, cache)
 
         monkeypatch.setattr(EncoderModel, "_encode", failing)
         model = init_model(TOY_CONFIG, seed=0)
@@ -598,7 +556,7 @@ class TestBackward:
         module = sys.modules["slimformer.model"]
         for kind in SLOT_KINDS:
             model = slot_kind_model(TOY_CONFIG, kind, seed=3)
-            _, inj = trace_loss_coeffs(model, tokens, seed=4)
+            _, inj = trace_functional(model, tokens, seed=4)
             _, cache = model.forward(tokens, with_cache=True)
             got = model.backward(cache, inj)
             with monkeypatch.context() as patch:
@@ -623,7 +581,7 @@ class TestBackward:
         tokens = rand_tokens(np.random.default_rng(seed), cfg)
         assert fd_check(model, tokens, sorted(model.params), seed,
                         samples=60) < FD_TOL
-        _, inj = trace_loss_coeffs(model, tokens, seed)
+        _, inj = trace_functional(model, tokens, seed)
         _, cache = model.forward(tokens, with_cache=True)
         grads = model.backward(cache, inj)
         Adam(lr=1e-2).step(model, grads)
@@ -686,7 +644,7 @@ class TestBackward:
         mask = (rng.random(model.params[slot].shape) > 0.5).astype(float)
         model = EncoderModel(cfg, model.params, {slot: mask})
         tokens = rand_tokens(rng, cfg)
-        loss_fn, inj = trace_loss_coeffs(model, tokens, 20)
+        loss_fn, inj = trace_functional(model, tokens, 20)
         _, cache = model.forward(tokens, with_cache=True)
         grads = model.backward(cache, inj)
         assert np.all(grads[slot][mask == 0] == 0.0)
@@ -724,8 +682,8 @@ class TestFactoredSlots:
         dense, factored = self.make_factored(
             cfg, 10, ["enc0.ffn.w1", "enc1.attn.wv", "tok_embed", "pos_embed"])
         tokens = rand_tokens(np.random.default_rng(9), cfg, batch=4)
-        a = dense.forward(tokens)
-        b = factored.forward(tokens)
+        a = traced(dense, tokens)
+        b = traced(factored, tokens)
         assert np.allclose(a.logits, b.logits, atol=1e-9)
         assert np.allclose(a.hidden[-1], b.hidden[-1], atol=1e-9)
 
@@ -749,7 +707,7 @@ class TestFactoredSlots:
         mask = (rng.random(model.params[key].shape) > 0.5).astype(float)
         model = EncoderModel(cfg, model.params, {key: mask})
         tokens = rand_tokens(rng, cfg)
-        loss_fn, inj = trace_loss_coeffs(model, tokens, 23)
+        loss_fn, inj = trace_functional(model, tokens, 23)
         _, cache = model.forward(tokens, with_cache=True)
         grads = model.backward(cache, inj)
         assert np.all(grads[key][mask == 0] == 0.0)
@@ -1148,7 +1106,7 @@ class TestMaskContract:
         source = slot_kind_model(cfg, kind, seed=40)
         models = self.variants(source, tmp_path)
         tokens = rand_tokens(np.random.default_rng(41), cfg, batch=4)
-        _, inj = trace_loss_coeffs(source, tokens, seed=42)
+        _, inj = trace_functional(source, tokens, seed=42)
         for name, model in models.items():
             assert model.masks.keys() == source.masks.keys(), name
             for key, mask in model.masks.items():

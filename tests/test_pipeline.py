@@ -1,6 +1,7 @@
 """Iterative compression schedule, accounting, and the training loop."""
 
 import csv
+import hashlib
 import io
 import sys
 from dataclasses import replace
@@ -11,7 +12,7 @@ import pytest
 from slimformer.budget import solve_budget
 from slimformer.errors import DivergenceError, RangeError
 from slimformer.factorize import factorize_layer
-from slimformer.model import TOY_CONFIG, EncoderModel, init_model
+from slimformer.model import TOY_CONFIG, EncoderModel, init_model, save_model
 from slimformer.pipeline import (
     CURVE_COLUMNS,
     TrainingRecord,
@@ -25,7 +26,7 @@ from slimformer.pipeline import (
     run_pipeline,
 )
 from slimformer.prune import topk_mask
-from slimformer.tasks import TaskConfig, generate_task
+from slimformer.tasks import TaskConfig, generate_task, train_classifier
 from test_model import shares_any
 
 TOY_TOTAL = 19747
@@ -336,6 +337,25 @@ class TestRunPipeline:
         with pytest.raises(DivergenceError) as excinfo:
             check_divergence(5.1, 0.5, state)
         assert excinfo.value.state == state
+
+
+def test_seed_set_bytes_pinned(tmp_path):
+    """Seed set 3/3/103/4 (task, teacher init, teacher training, pipeline
+    seeds): a toy teacher trained 20 epochs at lr 2e-3, then run_pipeline
+    at P=0.4 (p_embd 0.55, p_svd 0.45, delta 0.8) at lr 1e-3.  The
+    curve's and the student bundle's SHA-256s are pinned; they are the
+    same with one BLAS thread and with OpenBLAS's default."""
+    task = generate_task(TaskConfig(seed=3))
+    teacher = init_model(TOY_CONFIG, seed=3)
+    train_classifier(teacher, task, epochs=20, lr=2e-3, seed=103)
+    result = run_pipeline(teacher, toy_plan(), task, lr=1e-3, seed=4)
+    save_model(result.student, tmp_path / "student")
+    curve = record_curve(result.records).encode()
+    bundle = (tmp_path / "student.bundle").read_bytes()
+    assert hashlib.sha256(curve).hexdigest() == (
+        "4bb8f9572cb0aa9ca7bc59b104d853d2bacbbbefc7bce36bd276c244fd69f958")
+    assert hashlib.sha256(bundle).hexdigest() == (
+        "37ad7385376a90a1d033fbfed226f239d8bf7ecf785bc9bfe38f71d5b529e16c")
 
 
 class TestRecordCurve:

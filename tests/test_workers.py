@@ -1,6 +1,7 @@
-"""Independent jobs on WORKERS threads: run_on_workers itself, and its
-caller evaluate against a serial reference; distill_step, which runs
-both forwards on the calling thread whatever WORKERS is.
+"""Independent jobs on WORKERS threads: run_on_workers itself, and
+evaluate, whose plain forward runs its chunks on it, against a serial
+reference; distill_step, which runs both forwards on the calling thread
+whatever WORKERS is.
 
 Each test monkeypatches WORKERS to 1, 2 or 3 (more threads than this
 machine may have cores) and lets threads switch as often as the
@@ -41,8 +42,8 @@ def fast_switching():
 
 def set_workers(monkeypatch, workers, chunk_rows=None):
     """WORKERS threads; with chunk_rows, FORWARD_BLOCK is set so that
-    forward runs blocked above chunk_rows sequences and evaluate's
-    chunks are chunk_rows // WORKERS sequences (at least 1)."""
+    the plain forward's chunks are chunk_rows // WORKERS sequences (at
+    least 1)."""
     module = sys.modules["slimformer.model"]
     monkeypatch.setattr(module, "WORKERS", workers)
     if chunk_rows is not None:
@@ -67,6 +68,22 @@ class TestRunOnWorkers:
 
         assert run_on_workers(job, range(20)) == [i * i for i in range(20)]
         assert run_on_workers(job, []) == []
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_no_pool_without_helpers(self, monkeypatch, workers):
+        """One item, or WORKERS 1, needs no helper thread: the call
+        builds no ThreadPoolExecutor and runs the job on the caller."""
+        set_workers(monkeypatch, workers)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(sys.modules["slimformer.model"],
+                            "ThreadPoolExecutor", no_pool)
+        assert run_on_workers(lambda i: (i, threading.get_ident()),
+                              [7]) == [(7, threading.get_ident())]
+        if workers == 1:
+            assert run_on_workers(lambda i: i + 1, range(5)) == [1, 2, 3, 4, 5]
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("count", [1, 2, 5])
@@ -163,24 +180,28 @@ class TestPooledEvaluate:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_equals_serial_for_every_slot_kind(self, monkeypatch, workers):
         """Chunks of 6, 3 and 2 of 11 sequences (short last chunk) give
-        the full-batch accuracy, and no chunk's forward runs blocked."""
+        the full-batch accuracy, and evaluate runs one plain forward."""
         set_workers(monkeypatch, workers, chunk_rows=6)
-        blocked = []
-        encode_blocks = EncoderModel._encode_blocks
+        rows = 6 // workers
+        chunks = []
+        encode = EncoderModel._encode
 
-        def spy(model, tokens, step):
-            blocked.append(len(tokens))
-            return encode_blocks(model, tokens, step)
+        def spy(model, tokens, cache=None):
+            if cache is None:
+                chunks.append(len(tokens))
+            return encode(model, tokens, cache)
 
-        monkeypatch.setattr(EncoderModel, "_encode_blocks", spy)
+        monkeypatch.setattr(EncoderModel, "_encode", spy)
         for kind in SLOT_KINDS:
             model = slot_kind_model(TOY_CONFIG, kind, seed=6)
-            assert model.pooled_rows(TOY_CONFIG.max_seq_len) == 6 // workers
+            assert model.pooled_rows(TOY_CONFIG.max_seq_len) == rows
             tokens, labels = split_with_errors(model, seed=13)
             expected = serial_evaluate(model, tokens, labels)
             assert expected < 1.0
+            chunks.clear()
             assert evaluate(model, tokens, labels) == expected, kind
-        assert blocked == []
+            assert sorted(chunks) == sorted(
+                [rows] * (11 // rows) + [11 % rows] * (11 % rows > 0)), kind
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_threads_bounded_and_gone(self, monkeypatch, workers):
@@ -188,16 +209,16 @@ class TestPooledEvaluate:
         rows = 6 // workers
         chunks = -(-11 // rows)
         runners, alive = set(), []
-        forward = EncoderModel.forward
+        encode = EncoderModel._encode
 
-        def spy(model, tokens, with_cache=False):
+        def spy(model, tokens, cache=None):
             runners.add(threading.get_ident())
             alive.append(threading.active_count())
-            return forward(model, tokens, with_cache)
+            return encode(model, tokens, cache)
 
         model = slot_kind_model(TOY_CONFIG, "dense", seed=7)
         tokens, labels = split_with_errors(model, seed=14)
-        monkeypatch.setattr(EncoderModel, "forward", spy)
+        monkeypatch.setattr(EncoderModel, "_encode", spy)
         before = threading.active_count()
         evaluate(model, tokens, labels)
         assert threading.active_count() == before
@@ -215,20 +236,20 @@ class TestPooledEvaluate:
         # each thread's first chunk waits until the other has one too
         both = threading.Barrier(2, timeout=10)
         runners = set()
-        forward = EncoderModel.forward
+        encode = EncoderModel._encode
 
-        def failing(model, tokens, with_cache=False):
+        def failing(model, tokens, cache=None):
             me = threading.get_ident()
             if me not in runners:
                 runners.add(me)
                 both.wait()
             if (me != caller) == in_helper:
                 raise NonFiniteError("logits are not finite")
-            return forward(model, tokens, with_cache)
+            return encode(model, tokens, cache)
 
         model = slot_kind_model(TOY_CONFIG, "dense", seed=8)
         tokens, labels = split_with_errors(model, seed=15, batch=8)
-        monkeypatch.setattr(EncoderModel, "forward", failing)
+        monkeypatch.setattr(EncoderModel, "_encode", failing)
         before = threading.active_count()
         with pytest.raises(NonFiniteError):
             evaluate(model, tokens, labels)
@@ -239,26 +260,25 @@ class TestPooledEvaluate:
 def pipeline_state_at_failure(monkeypatch, workers):
     """run_pipeline's DivergenceError state when the last chunk of the
     third evaluate raises NonFiniteError.  The 32 val sequences run in
-    chunks of 12 // WORKERS, and the teacher's forward in distill_step
-    runs blocked."""
+    chunks of 12 // WORKERS."""
     set_workers(monkeypatch, workers, chunk_rows=12)
     task = generate_task(TaskConfig(seed=0, train_count=64, val_count=32))
     last_val = task.tokens_val[-1]
     calls = []
     evaluate_first = pipeline.evaluate
-    forward = EncoderModel.forward
+    encode = EncoderModel._encode
 
     def counted(*args):
         calls.append(None)
         return evaluate_first(*args)
 
-    def failing(model, tokens, with_cache=False):
+    def failing(model, tokens, cache=None):
         if len(calls) == 3 and np.shares_memory(tokens, last_val):
             raise NonFiniteError("logits are not finite")
-        return forward(model, tokens, with_cache)
+        return encode(model, tokens, cache)
 
     monkeypatch.setattr(pipeline, "evaluate", counted)
-    monkeypatch.setattr(EncoderModel, "forward", failing)
+    monkeypatch.setattr(EncoderModel, "_encode", failing)
     teacher = slot_kind_model(TOY_CONFIG, "dense", seed=9)
     with pytest.raises(DivergenceError) as excinfo:
         run_pipeline(teacher, toy_plan(delta=0.7), task,
@@ -280,7 +300,7 @@ def test_pipeline_divergence_state_as_serial(monkeypatch, workers):
 
 def distill_serially(student, teacher, tokens, cfg, opt):
     """distill_step with the two forwards one after the other."""
-    teacher_trace = teacher.forward(tokens)
+    teacher_trace = teacher.forward(tokens, with_cache=True)[0]
     student_trace, cache = student.forward(tokens, with_cache=True)
     total, breakdown, inj = distill_injections(teacher_trace, student_trace,
                                                cfg)
@@ -369,8 +389,8 @@ class TestPooledDistillStep:
         assert threading.active_count() == before
 
 
-# Prints one SHA-256 over a blocked no-cache forward trace, a cached
-# forward, a one-shot student and that student compressed again (so
+# Prints one SHA-256 over chunked plain-forward logits, cached forward
+# traces, a one-shot student and that student compressed again (so
 # through svd_product).  argv[1] is model.WORKERS.
 FINGERPRINT = """
 import hashlib, sys
@@ -383,7 +403,7 @@ model.WORKERS = int(sys.argv[1])
 cfg = ModelConfig(vocab_size=64, embed_dim=64, num_layers=2, num_heads=4,
                   ffn_dim=256, max_seq_len=16, num_classes=3)
 tokens = np.random.default_rng(0).integers(0, 64, size=(64, 16))
-assert 64 * 16 * 256 > model.FORWARD_BLOCK  # the forward runs blocked
+assert 64 * 16 * 256 > model.FORWARD_BLOCK  # the plain forward is chunked
 teacher = init_model(cfg, seed=0)
 plan = solve_budget(cfg.shapes(), 0.4, p_embd=0.55, p_svd=0.45)
 student = one_shot_compress(teacher, plan)
@@ -393,7 +413,8 @@ def add(trace):
     for arr in (trace.embedding_out, *trace.attention, *trace.hidden,
                 trace.logits):
         digest.update(arr.tobytes())
-add(teacher.forward(tokens))
+digest.update(teacher.forward(tokens).logits.tobytes())
+add(teacher.forward(tokens, with_cache=True)[0])
 add(student.forward(tokens[:8], with_cache=True)[0])
 for m in (student, again):
     for store in (m.params, m.masks):
@@ -405,7 +426,7 @@ print(digest.hexdigest())
 
 def test_same_bytes_across_blas_and_worker_threads():
     """One BLAS thread or OpenBLAS's default, one worker or two: the
-    blocked forward, a cached forward and two rounds of compression
+    chunked plain forward, cached forwards and two rounds of compression
     give the same bytes in every configuration."""
     root = Path(__file__).resolve().parent.parent
     digests = {}
