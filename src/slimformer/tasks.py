@@ -194,6 +194,9 @@ def train_classifier(model, task, epochs, lr=2e-5, batch_size=32, seed=0):
                                           task.labels_train[idx])
             opt.step(model, model.backward(cache,
                                            GradInjections(logits=dlogits)))
+        # the step's activations die before the next forward or the
+        # epoch's evaluate runs
+        del trace, cache
         losses.append(loss)
         if len(losses) < per_epoch:
             continue

@@ -353,9 +353,9 @@ def test_seed_set_bytes_pinned(tmp_path):
     curve = record_curve(result.records).encode()
     bundle = (tmp_path / "student.bundle").read_bytes()
     assert hashlib.sha256(curve).hexdigest() == (
-        "4bb8f9572cb0aa9ca7bc59b104d853d2bacbbbefc7bce36bd276c244fd69f958")
+        "82ace85a79b0ed037c5113a4fdf4dca8a649da0ef438daaef761e643c5969f79")
     assert hashlib.sha256(bundle).hexdigest() == (
-        "37ad7385376a90a1d033fbfed226f239d8bf7ecf785bc9bfe38f71d5b529e16c")
+        "94412ebf6ee89d4f8997326a4a3919972b10663c74f407915a6218cebcf2d756")
 
 
 class TestRecordCurve:

@@ -2,6 +2,8 @@
 
 import ast
 import hashlib
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +149,31 @@ class TestTraining:
             runs.append(model)
         for key in runs[0].params:
             assert np.array_equal(runs[0].params[key], runs[1].params[key])
+
+    def test_evaluate_holds_no_step_activations(self, monkeypatch):
+        """When an epoch-end evaluate starts, train_classifier has freed
+        its last step's trace and cache: memory allocated since training
+        began is Adam's two moments plus at most 64 KiB (a batch-32 toy
+        trace and cache take about 3.5 MB)."""
+        task = generate_task(TaskConfig(seed=3, train_count=64))
+        model = init_model(TOY_CONFIG, seed=3)
+        tasks = sys.modules["slimformer.tasks"]
+        held = []
+
+        def spy(model, tokens, labels):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return evaluate(model, tokens, labels)
+
+        monkeypatch.setattr(tasks, "evaluate", spy)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train_classifier(model, task, epochs=2, lr=2e-3, seed=1)
+        finally:
+            tracemalloc.stop()
+        moments = 2 * sum(v.nbytes for v in model.params.values())
+        assert len(held) == 2
+        assert max(held) - start <= moments + 2 ** 16
 
     def test_evaluate_bounds(self):
         task = generate_task(TaskConfig(seed=6, train_count=32, val_count=32))
