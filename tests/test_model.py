@@ -558,7 +558,34 @@ class TestPooledForward:
         assert threading.active_count() == before
 
 
+def recomputed_gelu_grad(x, t=None):
+    """GELU's derivative in the plain tanh form, recomputed from x,
+    ignoring t."""
+    c, k = math.sqrt(2.0 / math.pi), 0.044715
+    tanh = np.tanh(c * (x + k * x * x * x))
+    return (0.5 * (1.0 + tanh)
+            + 0.5 * x * (1.0 - tanh * tanh) * c * (1.0 + 3.0 * k * x * x))
+
+
 class TestBackward:
+    def test_cached_erf_gives_recomputed_gradients(self, monkeypatch):
+        """Backward's GELU derivative from the forward's cached tanh term
+        gives, bit for bit, the gradients of recomputing the term from
+        the FFN pre-activation, for every slot kind."""
+        tokens = rand_tokens(np.random.default_rng(12), TOY_CONFIG, batch=5)
+        module = sys.modules["slimformer.model"]
+        for kind in SLOT_KINDS:
+            model = slot_kind_model(TOY_CONFIG, kind, seed=3)
+            _, inj = trace_functional(model, tokens, seed=4)
+            _, cache = model.forward(tokens, with_cache=True)
+            got = model.backward(cache, inj)
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "gelu_grad", recomputed_gelu_grad)
+                want = model.backward(cache, inj)
+            assert set(got) == set(want)
+            for key in got:
+                assert np.array_equal(got[key], want[key]), (kind, key)
+
     @settings(max_examples=24, deadline=None, derandomize=True,
               database=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.sampled_from(SLOT_KINDS), st.integers(0, 2 ** 32 - 1))
