@@ -47,7 +47,7 @@ def _cmd_compress(args):
     plan = load_plan(args.plan)
     student = one_shot_compress(teacher, plan)
     save_model(student, args.out)
-    total = sum(e.size for e in teacher.config.shapes())
+    total = teacher.config.shapes().group_total()
     retained = student.retained_count()
     print(f"retained {retained} of {total} params "
           f"({retained / total:.6f})")
@@ -102,7 +102,7 @@ def _cmd_analyze_bias(args):
         split = (args.retain / args.prune_fraction, args.prune_fraction)
     pooled = []
     for e in model.config.shapes():
-        if e.is_vector or min(e.rows, e.cols) < 2:
+        if e.is_vector:
             continue
         # a compressed slot is analysed as the weight it computes with
         w = model.effective_weight(e.name)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MappingError, RangeError, ShapeError
-from .model import GradInjections, softmax
+from .model import ForwardTrace, softmax
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ def prediction_loss(teacher_logits, student_logits):
 
 
 def distill_injections(teacher_trace, student_trace, cfg):
-    """Loss, breakdown, and the upstream gradients for backward.
+    """Loss, breakdown, and the upstream gradients for backward, as a
+    ForwardTrace.
 
     The teacher trace is a constant; gradients are with respect to the
     student trace only.  MappingError when a positively weighted term
@@ -82,37 +83,38 @@ def distill_injections(teacher_trace, student_trace, cfg):
 
     breakdown = {"embedding": 0.0, "attention": 0.0,
                  "hidden": 0.0, "prediction": 0.0}
-    inj = GradInjections()
+    d_embedding = d_attention = d_hidden = d_logits = None
 
     if cfg.embedding_weight > 0:
         s, t = student_trace.embedding_out, teacher_trace.embedding_out
         breakdown["embedding"] = cfg.embedding_weight * mse_loss(s, t)
-        inj.embedding = cfg.embedding_weight * 2.0 * (s - t) / s.size
+        d_embedding = cfg.embedding_weight * 2.0 * (s - t) / s.size
 
     if cfg.attention_weight > 0:
         grads = []
         for s, t in zip(student_trace.attention, teacher_trace.attention):
             breakdown["attention"] += cfg.attention_weight * mse_loss(s, t)
             grads.append(cfg.attention_weight * 2.0 * (s - t) / s.size)
-        inj.attention = tuple(grads)
+        d_attention = tuple(grads)
 
     if cfg.hidden_weight > 0:
         grads = []
         for s, t in zip(student_trace.hidden, teacher_trace.hidden):
             breakdown["hidden"] += cfg.hidden_weight * mse_loss(s, t)
             grads.append(cfg.hidden_weight * 2.0 * (s - t) / s.size)
-        inj.hidden = tuple(grads)
+        d_hidden = tuple(grads)
 
     if cfg.prediction_weight > 0:
         ft, fs = teacher_trace.logits, student_trace.logits
         breakdown["prediction"] = cfg.prediction_weight * prediction_loss(
             ft, fs)
         batch = fs.shape[0]
-        inj.logits = (cfg.prediction_weight / batch
-                      * (softmax(fs) - softmax(ft)))
+        d_logits = (cfg.prediction_weight / batch
+                    * (softmax(fs) - softmax(ft)))
 
     total = sum(breakdown.values())
-    return total, breakdown, inj
+    return total, breakdown, ForwardTrace(d_embedding, d_attention,
+                                          d_hidden, d_logits)
 
 
 def distill_step(student, teacher, tokens, cfg, opt):

@@ -20,25 +20,25 @@ EncoderModel._adopt, which keeps them without a copy.
 Their structure (which keys form which slot, shapes, binary masks) is
 checked when a model is built; their values (finite entries) are checked
 at the file boundary, by tensor.save_bundle and tensor.load_bundle.  A
-bundle is the model's own arrays as (name, group, matrix) entries, with
-vectors and their masks as 1 x n views; the file stores masks as
-float64 ones and zeros, converted by save_bundle and the constructor.
+bundle is the model's own arrays as (name, group, matrix) entries; the
+file stores masks as float64 ones and zeros, converted by save_bundle
+and the constructor.
 
 forward(tokens, with_cache=True) exposes a trace at the four
 supervision points (embedding output, per-layer attention maps,
-per-layer hidden states, logits) and each layer's activations that
-backward needs.  It runs each layer as an attention block and an FFN
-block; a block's temporaries die when it returns, and bias adds,
-residual adds, softmax, layer norm and GELU work in place in as few
-buffers as the arithmetic allows, in the same operation order.  GELU
-is BERT's tanh form, numpy only; the cached forward keeps its tanh term
-for gelu_grad.  The plain forward(tokens), the inference path, keeps
-only the logits: it runs chunks of pooled_rows sequences on every CPU,
-and beyond one FORWARD_BLOCK of activations it holds embed_dim floats
-per sequence.
-backward accepts upstream gradients injected at any subset of the
-supervision points and returns exact gradients for every parameter,
-with masked positions receiving exactly zero.
+per-layer hidden states, logits), read from the layer caches that keep
+each layer's activations backward needs.  It runs each layer as an
+attention block and an FFN block; a block's temporaries die when it
+returns, and bias adds, residual adds, softmax, layer norm and GELU
+work in place in as few buffers as the arithmetic allows, in the same
+operation order.  GELU is BERT's tanh form, numpy only; the cached
+forward keeps its tanh term for gelu_grad.  The plain forward(tokens),
+the inference path, keeps only the logits: it runs chunks of
+pooled_rows sequences on every CPU, and beyond one FORWARD_BLOCK of
+activations it holds embed_dim floats per sequence.
+backward takes upstream gradients at any subset of the supervision
+points, as a ForwardTrace, and returns exact gradients for every
+parameter, with masked positions receiving exactly zero.
 
 run_on_workers runs independent jobs on WORKERS threads, the number of
 CPUs the process may run on: the caller and helpers from a pool made
@@ -253,23 +253,15 @@ def load_config(path):
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Activations at the four supervision points, batch-first.  A plain
-    forward (no cache) fills only logits; the other fields are None."""
+    """Arrays at the four supervision points, batch-first: a forward's
+    activations, or the upstream gradients backward takes at them.  None
+    is a field a plain forward does not fill (it fills only logits), or
+    a zero gradient, as is a None layer entry of attention or hidden."""
 
-    embedding_out: np.ndarray          # (b, n, d)
-    attention: tuple                   # per layer: (b, heads, n, n)
-    hidden: tuple                      # per layer: (b, n, d)
-    logits: np.ndarray                 # (b, num_classes)
-
-
-@dataclass
-class GradInjections:
-    """Upstream gradients to feed into backward; None means zero."""
-
-    embedding: np.ndarray = None
-    attention: tuple = None            # per layer or None entries
-    hidden: tuple = None
-    logits: np.ndarray = None
+    embedding_out: np.ndarray = None   # (b, n, d)
+    attention: tuple = None            # per layer: (b, heads, n, n)
+    hidden: tuple = None               # per layer: (b, n, d)
+    logits: np.ndarray = None          # (b, num_classes)
 
 
 def gelu_tanh(x):
@@ -378,7 +370,6 @@ class Slot:
     keys: tuple       # params keys: (name,), or the factored halves (a, b)
     mask_keys: tuple  # those of keys that carry a mask
     rank: int         # the halves' inner dimension; None unless factored
-    shape: tuple      # the weight's natural shape, (size,) for vectors
 
 
 class EncoderModel:
@@ -387,8 +378,8 @@ class EncoderModel:
     params maps array keys to C-contiguous float64 ndarrays (copies of
     the arrays passed in, so the model never aliases its caller; only
     the library's builders, through _adopt, hand over arrays they have
-    just made instead): a weight slot is either its name as one key
-    (natural shape; vectors are 1-D) or the two keys array_name gives
+    just made instead): a weight slot is either its name as one key,
+    of the shape table's (rows, cols), or the two keys array_name gives
     its factored halves.
     masks maps a subset of those keys to bool arrays, True where the
     entry is kept; masked entries are zero and frozen.  The constructor
@@ -444,7 +435,7 @@ class EncoderModel:
     def _slot(self, e, masks):
         """The Slot record of one shape entry, its arrays' shapes checked."""
         ka, kb = array_name(e.name, "a"), array_name(e.name, "b")
-        shape = (e.size,) if e.is_vector else (e.rows, e.cols)
+        shape = (e.rows, e.cols)
         if ka in self.params or kb in self.params:
             if e.name in self.params:
                 raise InputError(f"slot {e.name!r} is both dense and factored")
@@ -471,7 +462,7 @@ class EncoderModel:
         masked = tuple(key for key in keys if key in masks)
         if masked:
             kind = "masked-factored" if rank else "masked"
-        return Slot(e.name, e.group, kind, keys, masked, rank, shape)
+        return Slot(e.name, e.group, kind, keys, masked, rank)
 
     def copy(self):
         # the constructor copies every array once
@@ -503,15 +494,14 @@ class EncoderModel:
 
     def to_bundle(self):
         """(name, group, matrix) entries of the model's own arrays, no
-        copies: each key, then its mask under array_name(key, mask=True);
-        vectors and their masks are 1 x n views."""
+        copies: each key, then its mask under array_name(key, mask=True)."""
         entries = []
         for s in self.slots.values():
             for key in s.keys:
-                entries.append((key, s.group, np.atleast_2d(self.params[key])))
+                entries.append((key, s.group, self.params[key]))
                 if key in s.mask_keys:
                     entries.append((array_name(key, mask=True), s.group,
-                                    np.atleast_2d(self.masks[key])))
+                                    self.masks[key]))
         return entries
 
     @classmethod
@@ -528,15 +518,12 @@ class EncoderModel:
             raise InputError(f"config key 'num_layers' is "
                              f"{config.num_layers}, but the bundle holds "
                              f"{layers} encoder layers")
-        vector_slots = {e.name for e in config.shapes() if e.is_vector}
         # an entry named as the mask of another entry's key is that mask
         mask_of = {array_name(name, mask=True): name for name, _, _ in entries}
         params = {}
         masks = {}
         for name, _, arr in entries:
             key = mask_of.get(name, name)
-            if key in vector_slots:
-                arr = arr.reshape(-1)
             (masks if name in mask_of else params)[key] = arr
         model = cls(config, params, masks)
         group_of = {key: s.group for s in model.slots.values()
@@ -610,10 +597,10 @@ class EncoderModel:
         return dy @ self.params[slot].T
 
     def _attention_block(self, p, x, lc):
-        """Self-attention sublayer of layer p: (ln1 output, attention map).
+        """Self-attention sublayer of layer p: its ln1 output.
 
-        lc receives what backward needs; every other temporary dies on
-        return.
+        lc receives what backward needs, the attention map (probs)
+        among it; every other temporary dies on return.
         """
         q = self._slot_forward(f"{p}.attn.wq", x, lc)
         q += self.params[f"{p}.attn.bq"]
@@ -633,7 +620,7 @@ class EncoderModel:
                                     self.params[f"{p}.ln1.beta"])
         lc.update(x_in=x, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx,
                   ln1=ln1_cache, x1=x1)
-        return x1, probs
+        return x1
 
     def _ffn_block(self, p, x1, lc, with_cache):
         """Feed-forward sublayer of layer p: its ln2 output.
@@ -656,25 +643,21 @@ class EncoderModel:
         return x
 
     def _encode(self, tokens, cache=None):
-        """Embedding output, attention maps and hidden states of the
-        encoder layers over checked tokens; with a cache, each layer's
-        activations backward needs are appended to cache["layers"]."""
+        """The last hidden state of the encoder layers over checked
+        tokens; with a cache, each layer's activations backward needs
+        (its input x_in and attention map probs among them) are appended
+        to cache["layers"]."""
         x = self._embed(tokens)
-        embedding_out = x
-        attention = []
-        hidden = []
         for i in range(self.config.num_layers):
             lc = {}
-            x1, probs = self._attention_block(f"enc{i}", x, lc)
+            x1 = self._attention_block(f"enc{i}", x, lc)
             if cache is None:
                 # the attention block's activations die before the FFN runs
                 lc = {}
             else:
                 cache["layers"].append(lc)
             x = self._ffn_block(f"enc{i}", x1, lc, cache is not None)
-            attention.append(probs)
-            hidden.append(x)
-        return embedding_out, attention, hidden
+        return x
 
     def pooled_rows(self, n):
         """Sequences of length n per chunk of a plain forward: WORKERS
@@ -693,44 +676,49 @@ class EncoderModel:
         beside other rows.  Every layer works per sequence (one matmul
         per sequence slice; softmax, layer norm and GELU row by row), so
         the logits have the cached forward's bytes.  At width 256, batch
-        256, length 16 the tracemalloc peak is 4.6 MB; the full-batch
+        256, length 16 the tracemalloc peak is 4.2 MB; the full-batch
         trace it used to keep took 33.4 MB.  NonFiniteError when a
         logit is not finite.
         """
         tokens = self._check_tokens(tokens)
         if with_cache:
             cache = {"tokens": tokens, "layers": []}
-            embedding_out, attention, hidden = self._encode(tokens, cache)
-            pooled = cache["pooled"] = hidden[-1].mean(axis=1)
+            last = self._encode(tokens, cache)
+            pooled = cache["pooled"] = last.mean(axis=1)
         else:
             rows = self.pooled_rows(tokens.shape[1])
             pooled = np.empty((len(tokens), self.config.embed_dim))
 
             def pool_chunk(start):
-                hidden = self._encode(tokens[start:start + rows])[2]
-                hidden[-1].mean(axis=1, out=pooled[start:start + rows])
+                self._encode(tokens[start:start + rows]).mean(
+                    axis=1, out=pooled[start:start + rows])
 
             run_on_workers(pool_chunk, range(0, len(tokens), rows))
         logits = pooled @ self.params["cls.w"]
         logits += self.params["cls.b"]
         if not np.all(np.isfinite(logits)):
             raise NonFiniteError("logits are not finite")
-        if with_cache:
-            return ForwardTrace(embedding_out, tuple(attention),
-                                tuple(hidden), logits), cache
-        return ForwardTrace(None, None, None, logits)
+        if not with_cache:
+            return ForwardTrace(logits=logits)
+        # layer i's input is layer i - 1's hidden state
+        layers = cache["layers"]
+        return ForwardTrace(layers[0]["x_in"],
+                            tuple(lc["probs"] for lc in layers),
+                            tuple(lc["x_in"] for lc in layers[1:]) + (last,),
+                            logits), cache
 
     # ---- backward -----------------------------------------------------
 
-    def backward(self, cache, inj):
-        """Exact parameter gradients for the injected upstream gradients."""
+    def backward(self, cache, upstream):
+        """Exact parameter gradients for the upstream gradients at the
+        supervision points, a ForwardTrace whose None fields are zero."""
         cfg = self.config
         tokens = cache["tokens"]
         b, n = tokens.shape
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         scale = 1.0 / math.sqrt(cfg.head_dim)
 
-        dlogits = inj.logits
+        dlogits = upstream.logits
         if dlogits is None:
             dlogits = np.zeros((b, cfg.num_classes))
         dpooled = dlogits @ self.params["cls.w"].T
@@ -741,8 +729,9 @@ class EncoderModel:
         for i in reversed(range(cfg.num_layers)):
             p = f"enc{i}"
             lc = cache["layers"][i]
-            if inj.hidden is not None and inj.hidden[i] is not None:
-                dx = dx + inj.hidden[i]
+            if (upstream.hidden is not None
+                    and upstream.hidden[i] is not None):
+                dx = dx + upstream.hidden[i]
             dw, dg2, dbe2 = _ln_backward(dx, self.params[f"{p}.ln2.gamma"],
                                          lc["ln2"])
             grads[f"{p}.ln2.gamma"] += dg2
@@ -766,8 +755,9 @@ class EncoderModel:
             probs, vh, qh, kh = lc["probs"], lc["vh"], lc["qh"], lc["kh"]
             dprobs = dctx_h @ vh.swapaxes(-1, -2)
             dvh = probs.swapaxes(-1, -2) @ dctx_h
-            if inj.attention is not None and inj.attention[i] is not None:
-                dprobs = dprobs + inj.attention[i]
+            if (upstream.attention is not None
+                    and upstream.attention[i] is not None):
+                dprobs = dprobs + upstream.attention[i]
             dscores = (dprobs - np.sum(dprobs * probs, axis=-1,
                                        keepdims=True)) * probs
             dscores *= scale
@@ -784,8 +774,8 @@ class EncoderModel:
             grads[f"{p}.attn.bk"] += dk.sum(axis=(0, 1))
             grads[f"{p}.attn.bv"] += dv.sum(axis=(0, 1))
 
-        if inj.embedding is not None:
-            dx = dx + inj.embedding
+        if upstream.embedding_out is not None:
+            dx = dx + upstream.embedding_out
         self._embed_backward(tokens, dx, grads)
         for key, mask in self.masks.items():
             grads[key] *= mask
@@ -809,14 +799,13 @@ def init_model(config, seed=0):
     rng = np.random.default_rng(seed)
     params = {}
     for e in config.shapes():
-        if e.is_vector:
-            size = max(e.rows, e.cols)
-            if e.name.endswith(".gamma"):
-                params[e.name] = np.ones(size)
-            else:
-                params[e.name] = np.zeros(size)
+        shape = (e.rows, e.cols)
+        if not e.is_vector:
+            params[e.name] = rng.normal(0.0, INIT_STD, size=shape)
+        elif e.name.endswith(".gamma"):
+            params[e.name] = np.ones(shape)
         else:
-            params[e.name] = rng.normal(0.0, INIT_STD, size=(e.rows, e.cols))
+            params[e.name] = np.zeros(shape)
     return EncoderModel._adopt(config, params)
 
 

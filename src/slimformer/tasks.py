@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InputError, NonFiniteError, RangeError
-from .model import Adam, GradInjections, softmax
+from .model import Adam, ForwardTrace, softmax
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def train_classifier(model, task, epochs, lr=2e-5, batch_size=32, seed=0):
             loss, dlogits = cross_entropy(trace.logits,
                                           task.labels_train[idx])
             opt.step(model, model.backward(cache,
-                                           GradInjections(logits=dlogits)))
+                                           ForwardTrace(logits=dlogits)))
         # the step's activations die before the next forward or the
         # epoch's evaluate runs
         del trace, cache

@@ -14,7 +14,7 @@ absolute.
 
 import numpy as np
 
-from slimformer.model import GradInjections
+from slimformer.model import ForwardTrace
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -27,10 +27,11 @@ def traced(model, tokens):
 
 
 def trace_functional(model, tokens, seed):
-    """(loss, injections): loss(trace) is a random linear functional of
+    """(loss, upstream): loss(trace) is a random linear functional of
     every trace field.  Its coefficients are drawn from default_rng(seed)
     in field order (embedding output, attention maps, hidden states,
-    logits), each normal(shape) / size."""
+    logits), each normal(shape) / size; upstream is the ForwardTrace of
+    them, the gradients of loss to pass to backward."""
     trace = traced(model, tokens)
     rng = np.random.default_rng(seed)
 
@@ -49,9 +50,7 @@ def trace_functional(model, tokens, seed):
         total += sum(float(np.sum(c * h)) for c, h in zip(c_hid, t.hidden))
         return total + float(np.sum(c_log * t.logits))
 
-    inj = GradInjections(embedding=c_emb, attention=c_att,
-                         hidden=c_hid, logits=c_log)
-    return loss, inj
+    return loss, ForwardTrace(c_emb, c_att, c_hid, c_log)
 
 
 def fd_relative(model, tokens, key, index, loss, analytic):

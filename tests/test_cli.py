@@ -263,13 +263,15 @@ class TestCompress:
         {"enc0.attn.wq": np.ones((5, 7))},
         {"enc0.attn.wq.mask": np.full((32, 32), 0.5)},
         {"tok_embed.mask": np.ones((64, 32))},
+        {"enc0.attn.bq": np.zeros((32, 1))},
         nan_payload,
         aliasing_offset,
         trailing_bytes,
         duplicate_name,
         retagged,
     ], ids=["unclaimed-key", "dense-and-factored", "wrong-shape",
-            "non-binary-mask", "mask-in-another-group", "nan-payload",
+            "non-binary-mask", "mask-in-another-group", "vector-as-column",
+            "nan-payload",
             "aliasing-offset", "trailing-bytes", "duplicate-name",
             "entry-in-another-group"])
     def test_bad_bundle(self, tmp_path, edit, capsys):

@@ -17,6 +17,7 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from slimformer.model import (
     TOY_CONFIG,
     Adam,
     EncoderModel,
-    GradInjections,
+    ForwardTrace,
     ModelConfig,
     _ln_forward,
     gelu,
@@ -473,6 +474,36 @@ class TestPooledForward:
         monkeypatch.setattr(module, "FORWARD_BLOCK", block_rows
                             * TOY_CONFIG.max_seq_len * TOY_CONFIG.ffn_dim)
 
+    def test_attention_maps_are_not_kept(self, monkeypatch):
+        """In a plain forward layer 0's attention map is dead before
+        layer 1's FFN block runs; the cached forward returns every
+        layer's map."""
+        self.patch(monkeypatch, workers=1, block_rows=8)
+        maps, alive_at_ffn = [], []
+        attention_block = EncoderModel._attention_block
+        ffn_block = EncoderModel._ffn_block
+
+        def attention_spy(model, p, x, lc):
+            out = attention_block(model, p, x, lc)
+            maps.append(weakref.ref(lc["probs"]))
+            return out
+
+        def ffn_spy(model, *args):
+            alive_at_ffn.append([ref() is not None for ref in maps])
+            return ffn_block(model, *args)
+
+        monkeypatch.setattr(EncoderModel, "_attention_block", attention_spy)
+        monkeypatch.setattr(EncoderModel, "_ffn_block", ffn_spy)
+        model = init_model(TOY_CONFIG, seed=0)
+        tokens = rand_tokens(np.random.default_rng(3), TOY_CONFIG, batch=4)
+        model.forward(tokens)
+        assert len(alive_at_ffn) == TOY_CONFIG.num_layers == 2
+        assert not alive_at_ffn[1][0]
+        maps.clear()
+        trace = model.forward(tokens, with_cache=True)[0]
+        assert len(trace.attention) == len(maps) == 2
+        assert all(a is ref() for a, ref in zip(trace.attention, maps))
+
     @pytest.mark.parametrize("workers, block_rows, batch", [
         (1, 6, 11),   # chunks of 6 and 5
         (2, 6, 11),   # 3, 3, 3, 2
@@ -613,7 +644,7 @@ class TestBackward:
         model = init_model(small_config(), seed=1)
         tokens = rand_tokens(np.random.default_rng(0), small_config())
         _, cache = model.forward(tokens, with_cache=True)
-        grads = model.backward(cache, GradInjections())
+        grads = model.backward(cache, ForwardTrace())
         assert set(grads) == set(model.params)
         for g in grads.values():
             assert np.all(g == 0.0)
@@ -827,6 +858,31 @@ def array_bytes(arrays):
 
 class TestBundleRoundTrip:
     @pytest.mark.parametrize("kind", SLOT_KINDS)
+    def test_arrays_keep_table_shapes(self, tmp_path, kind):
+        """Every params and masks array of a built model has its shape
+        table's (rows, cols), vectors as 1 x n rows; factored halves are
+        (rows, r) and (cols, r)."""
+        cfg = small_config()
+        model = slot_kind_model(cfg, kind, seed=21)
+        # a vector's mask too
+        model = EncoderModel(cfg, model.params,
+                             {**model.masks, "cls.b": np.array([[1, 0, 1]])})
+        save_model(model, tmp_path / "m")
+        plan = solve_budget(cfg.shapes(), 0.4, p_embd=0.55, p_svd=0.45)
+        for built in (init_model(cfg, seed=21), compress_model(model, plan)[0],
+                      model.copy(),
+                      EncoderModel.from_bundle(model.to_bundle(), cfg),
+                      load_model(tmp_path / "m")):
+            for e in cfg.shapes():
+                s = built.slots[e.name]
+                shapes = ([(e.rows, s.rank), (e.cols, s.rank)] if s.rank
+                          else [(e.rows, e.cols)])
+                for key, shape in zip(s.keys, shapes, strict=True):
+                    assert built.params[key].shape == shape, key
+                    if key in built.masks:
+                        assert built.masks[key].shape == shape, key
+
+    @pytest.mark.parametrize("kind", SLOT_KINDS)
     def test_layout_and_round_trip_are_pinned(self, tmp_path, kind):
         """The bundle entries keep their names, groups, order and shapes,
         and a saved model loads with the same bytes and slot records."""
@@ -879,18 +935,18 @@ class TestBundleRoundTrip:
             assert m.ndim == 2 and np.shares_memory(m, held), name
 
     def test_vector_mask_round_trips(self, tmp_path):
-        """A mask on a vector slot is written as 1 x n, like its vector,
-        and read back as the vector's mask."""
+        """A mask on a vector slot is a 1 x n row, like its vector, and
+        is read back as the vector's mask."""
         params = init_model(TOY_CONFIG, seed=19).params
-        params["cls.b"] = np.array([0.5, -1.0, 2.0])
+        params["cls.b"] = np.array([[0.5, -1.0, 2.0]])
         model = EncoderModel(TOY_CONFIG, params,
-                             {"cls.b": np.array([1, 0, 1])})
+                             {"cls.b": np.array([[1, 0, 1]])})
         save_model(model, tmp_path / "v")
         for back in (EncoderModel.from_bundle(model.to_bundle(), TOY_CONFIG),
                      load_model(tmp_path / "v")):
             assert back.masks.keys() == {"cls.b"}
-            assert back.masks["cls.b"].tolist() == [True, False, True]
-            assert back.params["cls.b"].tolist() == [0.5, 0.0, 2.0]
+            assert back.masks["cls.b"].tolist() == [[True, False, True]]
+            assert back.params["cls.b"].tolist() == [[0.5, 0.0, 2.0]]
             assert back.params.keys() == model.params.keys()
 
 
