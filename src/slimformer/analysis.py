@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, RangeError, ShapeError
+from .errors import InputError, RangeError, ShapeError, check_fraction
 from .factorize import factorize_layer, rank_for_ratio
 from .prune import keep_largest, ones_for_fraction
 
@@ -54,8 +54,7 @@ def compressed_matrix(w, mode, retain, split=None):
     mirroring the reference configuration (retain 0.2 from
     factorization to 0.4 then pruning to 0.5 of that).
     """
-    if not 0.0 < retain <= 1.0:
-        raise RangeError(f"retain must be in (0, 1], got {retain}")
+    check_fraction("retain", retain)
     if mode == "prune":
         split = (1.0, retain)
     elif mode == "svd":
@@ -65,8 +64,8 @@ def compressed_matrix(w, mode, retain, split=None):
     elif split is None:
         split = (1.0, 1.0) if retain == 1.0 else (2.0 * retain, 0.5)
     svd_f, prune_f = split
-    if not (0.0 < svd_f <= 1.0 and 0.0 < prune_f <= 1.0):
-        raise RangeError(f"infeasible split {split} for retain {retain}")
+    check_fraction("svd fraction", svd_f)
+    check_fraction("prune fraction", prune_f)
     if abs(svd_f * prune_f - retain) > 1e-9:
         raise RangeError(
             f"split {split} multiplies to {svd_f * prune_f}, "

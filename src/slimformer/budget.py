@@ -24,15 +24,11 @@ that makes full-size reference checks cheap.
 import math
 from dataclasses import dataclass, replace
 
-from .errors import InfeasibleBudgetError, InputError, RangeError
+from .errors import InfeasibleBudgetError, InputError, RangeError, \
+    check_fraction
 from .factorize import rank_for_ratio
 from .prune import ones_for_fraction
 from .tensor import GROUPS, load_record, save_record
-
-
-def _check_fraction(name, value):
-    if not 0.0 < value <= 1.0:
-        raise RangeError(f"{name} must be in (0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,9 @@ class CompressionPlan:
     delta: float = 0.9
 
     def __post_init__(self):
-        _check_fraction("p_overall", self.p_overall)
-        _check_fraction("p_embd", self.p_embd)
-        _check_fraction("p_svd", self.p_svd)
+        check_fraction("p_overall", self.p_overall)
+        check_fraction("p_embd", self.p_embd)
+        check_fraction("p_svd", self.p_svd)
         if not 0.0 < self.delta < 1.0:
             raise RangeError(f"delta must be in (0, 1), got {self.delta}")
 

@@ -20,7 +20,7 @@ from .analysis import bias_histogram, bias_matrix, compressed_matrix, \
 from .budget import load_plan, plan_check, save_plan, solve_budget
 from .errors import BundleFormatError, DivergenceError, \
     InfeasibleBudgetError, InputError, MappingError, NonFiniteError, \
-    RangeError, SvdConvergenceError
+    RangeError, SvdConvergenceError, check_fraction
 from .model import load_model, save_model
 from .pipeline import one_shot_compress, record_curve, run_pipeline
 from .tasks import TaskConfig, generate_task, train_classifier
@@ -67,8 +67,8 @@ def _cmd_distill(args):
     ))
     # a negative count reaches train_classifier, which rejects it
     if args.teacher_epochs != 0:
-        history = train_classifier(teacher, task, args.teacher_epochs,
-                                   lr=args.teacher_lr,
+        lr = 2e-3 if args.teacher_lr is None else args.teacher_lr
+        history = train_classifier(teacher, task, args.teacher_epochs, lr=lr,
                                    batch_size=args.batch_size,
                                    seed=args.seed)
         print(f"teacher val accuracy {history[-1].val_accuracy:.4f} "
@@ -96,9 +96,7 @@ def _cmd_analyze_bias(args):
     model = load_model(_model_base(args.bundle))
     split = None
     if args.prune_fraction is not None:
-        if not 0.0 < args.prune_fraction <= 1.0:
-            raise RangeError(f"prune fraction must be in (0, 1], "
-                             f"got {args.prune_fraction}")
+        check_fraction("prune fraction", args.prune_fraction)
         split = (args.retain / args.prune_fraction, args.prune_fraction)
     pooled = []
     for e in model.config.shapes():
@@ -172,7 +170,8 @@ def _parser():
     distill.add_argument("--seed", type=int, default=0)
     distill.add_argument("--teacher-epochs", type=int, default=0,
                          help="train the loaded teacher on the task first")
-    distill.add_argument("--teacher-lr", type=float, default=2e-3)
+    distill.add_argument("--teacher-lr", type=float,
+                         help="default 2e-3; needs --teacher-epochs")
     distill.set_defaults(func=_cmd_distill)
 
     analyze = sub.add_parser("analyze", help="compression studies")
@@ -201,6 +200,9 @@ def _validate(parser, args):
     if (args.command == "analyze" and args.prune_fraction is not None
             and args.mode != "hybrid"):
         parser.error("--prune-fraction needs --mode hybrid")
+    if (args.command == "distill" and args.teacher_lr is not None
+            and args.teacher_epochs <= 0):
+        parser.error("--teacher-lr needs a positive --teacher-epochs")
 
 
 def main(argv=None):

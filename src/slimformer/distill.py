@@ -2,8 +2,11 @@
 
 The student is supervised at four levels: embedding output, per-layer
 attention maps, per-layer hidden states (all mean squared error), and
-a soft cross entropy between teacher and student logits.  The combined
-objective is a weighted sum; zero-weight terms are skipped entirely.
+a soft cross entropy between teacher and student logits.  MSE_TERMS
+lists the three squared-error terms with the trace field each reads;
+distill_injections checks and computes them in one loop over it.  The
+combined objective is a weighted sum; zero-weight terms are skipped
+entirely.
 """
 
 from dataclasses import dataclass
@@ -12,6 +15,11 @@ import numpy as np
 
 from .errors import MappingError, RangeError, ShapeError
 from .model import ForwardTrace, softmax
+
+# each mean-squared-error term: (name, as in DistillConfig's
+# <name>_weight and the breakdown, ForwardTrace field it compares)
+MSE_TERMS = (("embedding", "embedding_out"), ("attention", "attention"),
+             ("hidden", "hidden"))
 
 
 @dataclass(frozen=True)
@@ -67,13 +75,11 @@ def distill_injections(teacher_trace, student_trace, cfg):
     logits), or when the traces cover different layer or batch counts.
     """
     traces = (teacher_trace, student_trace)
-    for weight, field in (("embedding_weight", "embedding_out"),
-                          ("attention_weight", "attention"),
-                          ("hidden_weight", "hidden")):
-        if getattr(cfg, weight) > 0 and any(getattr(t, field) is None
-                                            for t in traces):
-            raise MappingError(f"{weight} is positive, but a trace has no "
-                               f"{field}: only a cached forward keeps it")
+    for term, field in MSE_TERMS:
+        if getattr(cfg, f"{term}_weight") > 0 and any(
+                getattr(t, field) is None for t in traces):
+            raise MappingError(f"{term}_weight is positive, but a trace has "
+                               f"no {field}: only a cached forward keeps it")
     layers = {len(t.attention) for t in traces if t.attention is not None}
     if len(layers) > 1:
         raise MappingError(f"teacher and student have {sorted(layers)} "
@@ -83,38 +89,29 @@ def distill_injections(teacher_trace, student_trace, cfg):
 
     breakdown = {"embedding": 0.0, "attention": 0.0,
                  "hidden": 0.0, "prediction": 0.0}
-    d_embedding = d_attention = d_hidden = d_logits = None
-
-    if cfg.embedding_weight > 0:
-        s, t = student_trace.embedding_out, teacher_trace.embedding_out
-        breakdown["embedding"] = cfg.embedding_weight * mse_loss(s, t)
-        d_embedding = cfg.embedding_weight * 2.0 * (s - t) / s.size
-
-    if cfg.attention_weight > 0:
+    upstream = {}
+    for term, field in MSE_TERMS:
+        w = getattr(cfg, f"{term}_weight")
+        if not w > 0:
+            continue
+        ss, ts = getattr(student_trace, field), getattr(teacher_trace, field)
+        whole = field == "embedding_out"  # one array, not one per layer
         grads = []
-        for s, t in zip(student_trace.attention, teacher_trace.attention):
-            breakdown["attention"] += cfg.attention_weight * mse_loss(s, t)
-            grads.append(cfg.attention_weight * 2.0 * (s - t) / s.size)
-        d_attention = tuple(grads)
-
-    if cfg.hidden_weight > 0:
-        grads = []
-        for s, t in zip(student_trace.hidden, teacher_trace.hidden):
-            breakdown["hidden"] += cfg.hidden_weight * mse_loss(s, t)
-            grads.append(cfg.hidden_weight * 2.0 * (s - t) / s.size)
-        d_hidden = tuple(grads)
+        for s, t in [(ss, ts)] if whole else zip(ss, ts):
+            breakdown[term] += w * mse_loss(s, t)
+            grads.append(w * 2.0 * (s - t) / s.size)
+        upstream[field] = grads[0] if whole else tuple(grads)
 
     if cfg.prediction_weight > 0:
         ft, fs = teacher_trace.logits, student_trace.logits
         breakdown["prediction"] = cfg.prediction_weight * prediction_loss(
             ft, fs)
         batch = fs.shape[0]
-        d_logits = (cfg.prediction_weight / batch
-                    * (softmax(fs) - softmax(ft)))
+        upstream["logits"] = (cfg.prediction_weight / batch
+                              * (softmax(fs) - softmax(ft)))
 
     total = sum(breakdown.values())
-    return total, breakdown, ForwardTrace(d_embedding, d_attention,
-                                          d_hidden, d_logits)
+    return total, breakdown, ForwardTrace(**upstream)
 
 
 def distill_step(student, teacher, tokens, cfg, opt):

@@ -1,4 +1,5 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and check_fraction, the
+library's one test of the (0, 1] fraction rule.
 
 Every error raised on a documented failure path is a distinct class so
 callers (and the CLI exit-code mapping) can tell failure modes apart.
@@ -15,6 +16,12 @@ class NonFiniteError(ValueError):
 
 class RangeError(ValueError):
     """A scalar argument (fraction, rank, count) is outside its valid range."""
+
+
+def check_fraction(name, value):
+    """RangeError unless 0 < value <= 1 (so NaN fails too)."""
+    if not 0.0 < value <= 1.0:
+        raise RangeError(f"{name} must be in (0, 1], got {value}")
 
 
 class InputError(ValueError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExpansionWarning, RangeError
+from .errors import ExpansionWarning, RangeError, check_fraction
 from .svd import svd, svd_product
 
 
@@ -35,8 +35,7 @@ def rank_for_ratio(m, n, p_svd):
     """
     if m < 1 or n < 1:
         raise RangeError(f"matrix dims must be >= 1, got {m}x{n}")
-    if not 0.0 < p_svd <= 1.0:
-        raise RangeError(f"p_svd must be in (0, 1], got {p_svd}")
+    check_fraction("p_svd", p_svd)
     return max(1, math.floor(m * n / (m + n) * p_svd))
 
 

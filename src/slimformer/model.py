@@ -215,28 +215,24 @@ def truncated_config_for_budget(config, target_count):
     best matches the target; the pure-distillation baseline student.
 
     It has one attention head: the parameter count does not depend on
-    the head count, so every width from 1 up is a candidate.  Ties keep
-    the narrowest width and then the smallest ffn width.
+    the head count, so every width from 1 up is a candidate.  At width
+    d the count is linear in the ffn width f, with slope num_layers *
+    (2 * d + 1) (w1, b1 and w2 of every layer), so the smallest f that
+    reaches the target is computed, clipped to [1, ffn_dim], and it and
+    its two neighbours are scored.  Ties keep the narrowest width and
+    then the smallest ffn width.
     """
-
-    def count(d, f):
-        return replace(config, embed_dim=d, num_heads=1,
-                       ffn_dim=f).shapes().group_total()
-
     best = None
     for d in range(1, config.embed_dim + 1):
-        # the count is monotone in the ffn width; bisect to the target
-        lo, hi = 1, config.ffn_dim
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if count(d, mid) < target_count:
-                lo = mid + 1
-            else:
-                hi = mid
-        for f in (lo - 1, lo, lo + 1):
+        base = replace(config, embed_dim=d, num_heads=1,
+                       ffn_dim=1).shapes().group_total()
+        slope = config.num_layers * (2 * d + 1)
+        # the smallest f with base + slope * (f - 1) >= target_count
+        reach = min(max(1 - (base - target_count) // slope, 1), config.ffn_dim)
+        for f in (reach - 1, reach, reach + 1):
             if not 1 <= f <= config.ffn_dim:
                 continue
-            gap = abs(count(d, f) - target_count)
+            gap = abs(base + slope * (f - 1) - target_count)
             if best is None or gap < best[0]:
                 best = (gap, d, f)
     _, d, f = best
@@ -256,7 +252,7 @@ class ForwardTrace:
     """Arrays at the four supervision points, batch-first: a forward's
     activations, or the upstream gradients backward takes at them.  None
     is a field a plain forward does not fill (it fills only logits), or
-    a zero gradient, as is a None layer entry of attention or hidden."""
+    a zero gradient; a given attention or hidden has every layer."""
 
     embedding_out: np.ndarray = None   # (b, n, d)
     attention: tuple = None            # per layer: (b, heads, n, n)
@@ -729,8 +725,7 @@ class EncoderModel:
         for i in reversed(range(cfg.num_layers)):
             p = f"enc{i}"
             lc = cache["layers"][i]
-            if (upstream.hidden is not None
-                    and upstream.hidden[i] is not None):
+            if upstream.hidden is not None:
                 dx = dx + upstream.hidden[i]
             dw, dg2, dbe2 = _ln_backward(dx, self.params[f"{p}.ln2.gamma"],
                                          lc["ln2"])
@@ -755,8 +750,7 @@ class EncoderModel:
             probs, vh, qh, kh = lc["probs"], lc["vh"], lc["qh"], lc["kh"]
             dprobs = dctx_h @ vh.swapaxes(-1, -2)
             dvh = probs.swapaxes(-1, -2) @ dctx_h
-            if (upstream.attention is not None
-                    and upstream.attention[i] is not None):
+            if upstream.attention is not None:
                 dprobs = dprobs + upstream.attention[i]
             dscores = (dprobs - np.sum(dprobs * probs, axis=-1,
                                        keepdims=True)) * probs

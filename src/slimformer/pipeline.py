@@ -28,7 +28,7 @@ import numpy as np
 
 from .budget import CompressionPlan, allocate
 from .distill import DistillConfig, distill_step
-from .errors import DivergenceError, RangeError
+from .errors import DivergenceError, RangeError, check_fraction
 from .factorize import factorize_layer
 from .model import (Adam, EncoderModel, array_name, init_model,
                     truncated_config_for_budget)
@@ -71,8 +71,7 @@ def budget_sequence(delta, p_overall):
     is exactly p_overall and appears once."""
     if not 0.0 < delta < 1.0:
         raise RangeError(f"delta must be in (0, 1), got {delta}")
-    if not 0.0 < p_overall <= 1.0:
-        raise RangeError(f"p_overall must be in (0, 1], got {p_overall}")
+    check_fraction("p_overall", p_overall)
     seq = []
     k = 1
     while p_overall < 1.0:

@@ -10,13 +10,12 @@ import math
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import RangeError, check_fraction
 
 
 def ones_for_fraction(p_weight, n_total):
     """Ones-count round(p_weight * n_total), rounding halves up."""
-    if not 0.0 < p_weight <= 1.0:
-        raise RangeError(f"p_weight must be in (0, 1], got {p_weight}")
+    check_fraction("p_weight", p_weight)
     return int(math.floor(p_weight * n_total + 0.5))
 
 

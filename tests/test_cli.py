@@ -17,7 +17,9 @@ import pytest
 from slimformer.budget import (CompressionPlan, load_plan, pruning_fraction,
                                save_plan)
 import slimformer
+from slimformer import cli
 from slimformer.cli import _parser, main
+from slimformer.errors import RangeError
 from slimformer.model import (TOY_CONFIG, init_model, load_model,
                               save_config, save_model)
 from slimformer.tensor import load_bundle, save_bundle
@@ -334,6 +336,41 @@ class TestDistill:
                      "--teacher-epochs", "3", "--teacher-lr", "100"])
         assert code == 3
         assert "uniform guess" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epochs", [[], ["--teacher-epochs", "0"],
+                                        ["--teacher-epochs", "-1"]])
+    def test_teacher_lr_needs_teacher_epochs(self, tmp_path, teacher_path,
+                                             capsys, epochs):
+        """--teacher-lr sets a rate only teacher training reads, so
+        without a positive --teacher-epochs it is a usage error."""
+        plan = write_plan(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["distill", "--teacher", teacher_path, "--plan", plan,
+                  "--task-seed", "1", "--out", str(tmp_path / "run"),
+                  "--teacher-lr", "1e-3", *epochs])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--teacher-lr needs a positive --teacher-epochs" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flags, lr", [([], 2e-3),
+                                           (["--teacher-lr", "5e-4"], 5e-4)])
+    def test_teacher_lr_reaches_training(self, tmp_path, teacher_path,
+                                         monkeypatch, flags, lr):
+        """Teacher training gets --teacher-lr, or 2e-3 without it."""
+        seen = []
+
+        def stop(model, task, epochs, lr, **kwargs):
+            seen.append(lr)
+            raise RangeError("stop before training")
+
+        monkeypatch.setattr(cli, "train_classifier", stop)
+        plan = write_plan(tmp_path)
+        assert main(["distill", "--teacher", teacher_path, "--plan", plan,
+                     "--task-seed", "1", "--out", str(tmp_path / "run"),
+                     "--teacher-epochs", "2", *flags]) == 2
+        assert seen == [lr]
 
     @pytest.mark.parametrize("flag, value", [
         ("--batch-size", "0"),

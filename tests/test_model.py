@@ -18,6 +18,7 @@ import threading
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,58 @@ class TestTruncatedConfig:
         assert abs(count - 7899) <= 60
         assert cfg.num_heads == 1
         assert cfg.embed_dim <= TOY_CONFIG.embed_dim
+
+    @staticmethod
+    def argmin_configs(config, counts, targets):
+        """Brute force: for each target, the (width, ffn width) whose
+        count in counts[width - 1, ffn - 1] is nearest, ties going to the
+        narrowest width, then the smallest ffn width (argmin keeps the
+        first minimum of the width-major table)."""
+        flat = counts.ravel()
+        best = []
+        for start in range(0, len(targets), 64):
+            chunk = np.asarray(targets[start:start + 64])[:, None]
+            best.extend(np.argmin(np.abs(flat - chunk), axis=1))
+        return [(1 + i // config.ffn_dim, 1 + i % config.ffn_dim)
+                for i in best]
+
+    @staticmethod
+    def count(config, d, f):
+        return replace(config, embed_dim=d, num_heads=1,
+                       ffn_dim=f).shapes().group_total()
+
+    def test_matches_brute_force_argmin(self, monkeypatch):
+        """Every target from 1 to the toy total, and a sample at width
+        256, picks the config a search over every (width, ffn width)
+        picks.  The toy table counts every pair from its shape table; the
+        wide one is linear in the ffn width between the shape tables at
+        1 and ffn_dim, spot-checked at random pairs."""
+        toy = TOY_CONFIG
+        toy_counts = np.array([[self.count(toy, d, f)
+                                for f in range(1, toy.ffn_dim + 1)]
+                               for d in range(1, toy.embed_dim + 1)])
+        wide = WIDE_CONFIG
+        ends = np.array([[self.count(wide, d, f) for f in (1, wide.ffn_dim)]
+                         for d in range(1, wide.embed_dim + 1)])
+        slope = (ends[:, 1:] - ends[:, :1]) // (wide.ffn_dim - 1)
+        wide_counts = ends[:, :1] + slope * np.arange(wide.ffn_dim)
+        rng = np.random.default_rng(30)
+        for d, f in rng.integers(1, (wide.embed_dim + 1, wide.ffn_dim + 1),
+                                 size=(16, 2)):
+            assert wide_counts[d - 1, f - 1] == self.count(wide, d, f)
+        wide_targets = rng.integers(1, wide.shapes().group_total() + 1,
+                                    size=64).tolist()
+
+        # the function rebuilds one shape table per width on every call
+        monkeypatch.setattr(ModelConfig, "shapes",
+                            functools.cache(ModelConfig.shapes))
+        for config, counts, targets in (
+                (toy, toy_counts, range(1, toy.shapes().group_total() + 1)),
+                (wide, wide_counts, wide_targets)):
+            want = self.argmin_configs(config, counts, targets)
+            for target, pair in zip(targets, want):
+                got = truncated_config_for_budget(config, target)
+                assert (got.embed_dim, got.ffn_dim) == pair, target
 
     def test_valid_model(self):
         cfg = truncated_config_for_budget(TOY_CONFIG, 5000)
@@ -1289,6 +1342,24 @@ def test_key_suffixes_are_written_in_one_function():
         and KEY_SUFFIX.search(node.value)))
     assert not outside
     assert inside  # the walk does see the naming function's own suffix
+
+
+def is_fraction_check(node):
+    """A comparison 0 < x <= 1, the (0, 1] fraction rule."""
+    return (isinstance(node, ast.Compare)
+            and [type(op) for op in node.ops] == [ast.Lt, ast.LtE]
+            and isinstance(node.left, ast.Constant) and node.left.value == 0
+            and isinstance(node.comparators[1], ast.Constant)
+            and node.comparators[1].value == 1)
+
+
+def test_fraction_rule_is_written_in_one_function():
+    """Outside errors.check_fraction, no comparison in the package spells
+    out the (0, 1] fraction rule 0 < x <= 1."""
+    inside, outside = source_sites("errors.py:check_fraction",
+                                   is_fraction_check)
+    assert not outside
+    assert len(inside) == 1
 
 
 def test_import_loads_no_scipy():
